@@ -65,6 +65,29 @@ import (
 	"ucgraph/internal/worldstore"
 )
 
+// Socket timeouts of the HTTP server. Neither bounds a request once its
+// headers are in, so SSE refinement streams and hijacked shard v2 streams
+// run as long as they need.
+const (
+	// readHeaderTimeout closes a connection that has not finished sending
+	// its request headers, so a stalled or trickling client cannot hold a
+	// socket open.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection left idle between
+	// requests.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		listen     = flag.String("listen", ":8080", "address to serve HTTP on")
@@ -253,7 +276,7 @@ func main() {
 			role, gc.Name, gc.Graph.NumNodes(), gc.Graph.NumEdges(), gc.Seed)
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: handler}
+	httpSrv := newHTTPServer(*listen, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)

@@ -122,7 +122,7 @@ type storeProvider interface {
 }
 
 // adaptiveBlock resolves the round alignment for an oracle.
-func adaptiveBlock(o Oracle) int {
+func adaptiveBlock(o ContextOracle) int {
 	if sp, ok := o.(storeProvider); ok {
 		return sp.Store().BlockWorlds()
 	}
@@ -159,7 +159,7 @@ func adaptiveSchedule(block, budget, minWorlds int) []int {
 // adaptive run over o follows for the given budget and first-round target.
 // Exported so other adaptive consumers (core's racing candidate scorer)
 // share the same alignment rules — and therefore the same determinism.
-func AdaptiveScheduleFor(o Oracle, budget, minWorlds int) []int {
+func AdaptiveScheduleFor(o ContextOracle, budget, minWorlds int) []int {
 	return adaptiveSchedule(adaptiveBlock(o), budget, minWorlds)
 }
 

@@ -10,9 +10,10 @@
 //
 // The package provides:
 //
-//   - Oracle: the interface consumed by the clustering algorithms in
+//   - ContextOracle: the interface consumed by the clustering algorithms in
 //     internal/core. An oracle answers "estimate Pr(c ~d u) for every u",
-//     for one center (FromCenter) or a whole candidate batch (FromCenters).
+//     for one center (FromCenterCtx) or a whole candidate batch
+//     (FromCentersCtx).
 //   - MonteCarlo: the sampling estimator (the real implementation), built
 //     on the shared world store of internal/worldstore. It is safe for
 //     concurrent use and internally parallel, with estimates that are
@@ -40,37 +41,28 @@ import (
 // Unlimited is the depth value meaning "no path-length constraint".
 const Unlimited = -1
 
-// Oracle answers connection-probability queries from centers to all nodes.
+// ContextOracle answers connection-probability queries from centers to all
+// nodes; it is the interface the clustering drivers of internal/core
+// consume.
 //
-// FromCenter returns estimates of Pr(c ~depth u) for every node u; depth < 0
-// (Unlimited) means the unconstrained connection probability. r is the
+// FromCenterCtx returns estimates of Pr(c ~depth u) for every node u; depth
+// < 0 (Unlimited) means the unconstrained connection probability. r is the
 // Monte Carlo sample size; exact oracles ignore it. The returned slice is
 // owned by the caller.
 //
-// FromCenters is the batched form: it answers the same query for every
+// FromCentersCtx is the batched form: it answers the same query for every
 // center in cs, returning one estimate vector per center (each owned by the
 // caller), and is where implementations amortize work across a candidate
 // batch — the Monte Carlo oracle answers all centers in one pass over each
 // world block instead of one full scan per center. The results must equal
-// calling FromCenter per center.
+// calling FromCenterCtx per center.
 //
-// Implementations must tolerate concurrent calls: the clustering drivers
-// fan queries out across goroutines (both MonteCarlo and Exact qualify).
-type Oracle interface {
-	NumNodes() int
-	FromCenter(c graph.NodeID, depth int, r int) []float64
-	FromCenters(cs []graph.NodeID, depth int, r int) [][]float64
-}
-
-// ContextOracle is an Oracle whose queries additionally honor a
-// cancellation context: a query aborted by ctx returns ctx's error and no
-// estimates. Completed queries are bit-identical to the context-free
-// methods — cancellation never degrades an answer, it only withholds one.
-// Both MonteCarlo and Exact implement it; the context-aware clustering
-// drivers (core.MCPCtx, core.ACPCtx) use it when available and fall back
-// to coarse between-call checks otherwise.
+// A query aborted by ctx returns ctx's error and no estimates; cancellation
+// never degrades an answer, it only withholds one. Implementations must
+// tolerate concurrent calls: the clustering drivers fan queries out across
+// goroutines (MonteCarlo, Exact and shard.Coordinator all qualify).
 type ContextOracle interface {
-	Oracle
+	NumNodes() int
 	FromCenterCtx(ctx context.Context, c graph.NodeID, depth int, r int) ([]float64, error)
 	FromCentersCtx(ctx context.Context, cs []graph.NodeID, depth int, r int) ([][]float64, error)
 }
@@ -94,6 +86,10 @@ var (
 // cached and extended incrementally when later phases of the progressive
 // sampling schedule request more samples for a center already queried —
 // the dominant cost saver for the guessing schedules of Algorithms 2-3.
+// This is the repository's one tally cache: an estimator built with
+// NewMonteCarloWithCounter keeps the same cache and only hands the counting
+// of missing worlds to its CountFunc (shard.Coordinator scatters them to
+// its workers).
 //
 // MonteCarlo is safe for concurrent use: the tally cache is mutex-guarded
 // and each tally serializes its own extensions. FromCenter is internally
@@ -133,12 +129,26 @@ type MonteCarlo struct {
 	// its shard.
 	reachPool sync.Pool
 
+	// count, when non-nil, is offered every extension before the local
+	// store counts it (see NewMonteCarloWithCounter).
+	count CountFunc
+
 	mu         sync.Mutex // guards cache, cacheOrder and cacheHead
 	cache      map[cacheKey]*centerTally
 	cacheOrder []cacheKey // FIFO ring: entries [cacheHead..] ++ [..cacheHead) in insertion order
 	cacheHead  int        // index of the oldest entry once the ring is full
 	maxCache   int
 }
+
+// CountFunc counts the worlds of pending tallies somewhere other than the
+// local store. It adds, for every center cs[i], the connection counts of
+// worlds [lo[i], hi) at depth (< 0 for Unlimited) into counts[i], the
+// same integers worldstore.CountConnectedFromMulti and CountWithinMulti
+// would add. ok=false declines the call and the estimator counts locally.
+// counts is written only when the whole call succeeds: on an error every
+// tally stays at its prior world count, and the query fails with that
+// error.
+type CountFunc func(ctx context.Context, cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) (ok bool, err error)
 
 // cacheKey identifies a cached center query.
 type cacheKey struct {
@@ -168,6 +178,15 @@ type centerTally struct {
 // estimator — and every other world consumer — built from the same pair
 // observes the same worlds.
 func NewMonteCarlo(g *graph.Uncertain, seed uint64) *MonteCarlo {
+	return NewMonteCarloWithCounter(g, seed, nil)
+}
+
+// NewMonteCarloWithCounter is NewMonteCarlo with a pluggable world counter:
+// every query that needs more worlds asks count once for each pending
+// tally's whole missing range, and counts locally when count declines.
+// The tally cache, locking and estimate arithmetic stay here, so the
+// estimates are bit-identical whoever counts. A nil count is NewMonteCarlo.
+func NewMonteCarloWithCounter(g *graph.Uncertain, seed uint64, count CountFunc) *MonteCarlo {
 	n := g.NumNodes()
 	// Bound the tally cache to ~64 MiB (4 bytes per node per entry).
 	maxCache := 64 << 20 / (4 * n)
@@ -178,6 +197,7 @@ func NewMonteCarlo(g *graph.Uncertain, seed uint64) *MonteCarlo {
 		g:        g,
 		seed:     seed,
 		store:    worldstore.Shared(g, seed),
+		count:    count,
 		cache:    make(map[cacheKey]*centerTally),
 		maxCache: maxCache,
 	}
@@ -272,9 +292,10 @@ func (tally *centerTally) estimate() []float64 {
 	return out
 }
 
-// FromCenter implements Oracle. Tally vectors are cached per (center,
-// depth) and extended when r grows; if a cached tally already covers more
-// worlds than requested, the higher-precision estimate is returned.
+// FromCenter is the context-free FromCenterCtx (part of the public
+// ucgraph.Estimator API). Tally vectors are cached per (center, depth)
+// and extended when r grows; if a cached tally already covers more worlds
+// than requested, the higher-precision estimate is returned.
 // FromCenter may be called from many goroutines at once.
 func (mc *MonteCarlo) FromCenter(c graph.NodeID, depth int, r int) []float64 {
 	out, _ := mc.FromCenterCtx(context.Background(), c, depth, r)
@@ -286,25 +307,14 @@ func (mc *MonteCarlo) FromCenter(c graph.NodeID, depth int, r int) []float64 {
 // chunks, so a cancelled query returns ctx's error quickly while leaving
 // the cached tally in a consistent partial state (it exactly covers the
 // worlds tallied so far, and a later query simply resumes from there). A
-// call that returns nil error is bit-identical to FromCenter.
+// call that returns nil error is bit-identical to FromCenter. It is the
+// one-center case of FromCentersCtx.
 func (mc *MonteCarlo) FromCenterCtx(ctx context.Context, c graph.NodeID, depth int, r int) ([]float64, error) {
-	if r < 1 {
-		r = 1
-	}
-	if depth < 0 {
-		depth = Unlimited
-	}
-	key := cacheKey{c: c, depth: depth}
-	tally := mc.lookupTally(key)
-
-	// An evicted tally stays usable by goroutines already holding it; it
-	// just stops being findable, so the worst case is recomputed work.
-	tally.mu.Lock()
-	defer tally.mu.Unlock()
-	if err := mc.extendChunked(ctx, key, tally, r); err != nil {
+	out, err := mc.FromCentersCtx(ctx, []graph.NodeID{c}, depth, r)
+	if err != nil {
 		return nil, err
 	}
-	return tally.estimate(), nil
+	return out[0], nil
 }
 
 // ctxChunk is how many worlds a cancellable extension advances between
@@ -333,7 +343,7 @@ func (mc *MonteCarlo) extendChunked(ctx context.Context, key cacheKey, tally *ce
 	return nil
 }
 
-// FromCenters implements the batched Oracle query: one estimate vector per
+// FromCenters answers the batched query: one estimate vector per
 // center, equal to FromCenter(c, depth, r) for each c. The batch shares
 // the per-center tally cache with FromCenter; centers whose tallies need
 // extension are answered together, sharded across the worker pool so that
@@ -353,7 +363,9 @@ func (mc *MonteCarlo) FromCenters(cs []graph.NodeID, depth int, r int) [][]float
 // the same chunked-extension contract as FromCenterCtx: ctx is checked
 // between bounded chunks of worlds, an aborted batch returns ctx's error
 // with every touched tally left consistent (covering exactly the worlds it
-// tallied), and a nil-error call is bit-identical to FromCenters.
+// tallied), and a nil-error call is bit-identical to FromCenters. With a
+// CountFunc (NewMonteCarloWithCounter), the pending tallies are first
+// offered to it whole, and counted here only when it declines.
 func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, depth int, r int) ([][]float64, error) {
 	if len(cs) == 0 {
 		return nil, nil
@@ -385,9 +397,10 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 	}
 
 	// Lock the batch's tallies in canonical center order: concurrent
-	// FromCenters batches over overlapping center sets then acquire in the
-	// same order and cannot deadlock (FromCenter holds at most one tally
-	// lock, so it cannot close a cycle either).
+	// batches over overlapping center sets then acquire in the same order
+	// and cannot deadlock. An evicted tally stays usable by goroutines
+	// already holding it; it just stops being findable, so the worst case
+	// is recomputed work.
 	locked := make([]*batchSlot, len(slots))
 	copy(locked, slots)
 	sort.Slice(locked, func(i, j int) bool { return locked[i].key.c < locked[j].key.c })
@@ -404,6 +417,26 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 	for _, sl := range slots {
 		if sl.tally.rDone < r {
 			pending = append(pending, sl)
+		}
+	}
+	if len(pending) > 0 && mc.count != nil {
+		// The pluggable counter gets each pending tally's whole missing
+		// range in one call; it writes counts only when it succeeds.
+		centers := make([]graph.NodeID, len(pending))
+		lo := make([]int, len(pending))
+		counts := make([][]int32, len(pending))
+		for i, sl := range pending {
+			centers[i], lo[i], counts[i] = sl.key.c, sl.tally.rDone, sl.tally.counts
+		}
+		ok, err := mc.count(ctx, centers, depth, lo, r, counts)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			for _, sl := range pending {
+				sl.tally.rDone = r
+			}
+			pending = nil
 		}
 	}
 	switch {
@@ -707,7 +740,7 @@ func NewExact(g *graph.Uncertain) (*Exact, error) {
 // NumNodes returns the number of nodes of the underlying graph.
 func (ex *Exact) NumNodes() int { return ex.g.NumNodes() }
 
-// FromCenter implements Oracle: exact Pr(c ~depth u) for all u.
+// FromCenter returns the exact Pr(c ~depth u) for all u.
 // The sample-size hint r is ignored.
 func (ex *Exact) FromCenter(c graph.NodeID, depth int, _ int) []float64 {
 	n := ex.g.NumNodes()
@@ -772,8 +805,8 @@ func (ex *Exact) FromCenter(c graph.NodeID, depth int, _ int) []float64 {
 	return out
 }
 
-// FromCenters implements the batched Oracle query by enumerating per
-// center; exactness leaves nothing to amortize across the batch.
+// FromCenters answers the batched query by enumerating per center;
+// exactness leaves nothing to amortize across the batch.
 func (ex *Exact) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
 	out := make([][]float64, len(cs))
 	for i, c := range cs {

@@ -11,7 +11,7 @@ import (
 
 // kernelTestGraph builds a 128-node ring with pseudo-random chords — large
 // enough that a depth-limited batch exercises real BFS frontiers, small
-// enough that both accumulate kernels qualify.
+// enough that the accumulate kernel qualifies.
 func kernelTestGraph(t *testing.T) *graph.Uncertain {
 	t.Helper()
 	const n = 128
@@ -36,13 +36,15 @@ func kernelTestGraph(t *testing.T) *graph.Uncertain {
 }
 
 // TestDepthLimitedBatchKernelBitIdentity pins the bit-sliced accumulate
-// kernel against the legacy flat kernel through the full production path:
-// MonteCarlo.FromCenters → worldstore.CountWithinMulti → the accumulate
-// mode of sampler.MultiReachCounter. 70 centers span two 64-center mask
-// groups, and 600 worlds force multiple AccumCapacity flushes, so every
-// ripple-carry plane level and the flush cadence are both exercised. The
-// two kernels add the same per-world reach indicators, so the estimates
-// must be bit-identical — not merely close.
+// kernel, reached through the full production path — MonteCarlo.FromCenters
+// → worldstore.CountWithinMulti → the accumulate mode of
+// sampler.MultiReachCounter — against direct per-world counting
+// (MultiReachCounter.CountWithinWorld, the fallback for graphs too large
+// for the accumulator) over the same world bitmaps. 70 centers span two
+// 64-center mask groups, and 600 worlds force multiple AccumCapacity
+// flushes, so every ripple-carry plane level and the flush cadence are
+// both exercised. Both paths add the same per-world reach indicators, so
+// the estimates must be bit-identical — not merely close.
 func TestDepthLimitedBatchKernelBitIdentity(t *testing.T) {
 	g := kernelTestGraph(t)
 	cs := make([]graph.NodeID, 70)
@@ -51,23 +53,32 @@ func TestDepthLimitedBatchKernelBitIdentity(t *testing.T) {
 	}
 	const depth, r = 3, 600
 
-	run := func(flat bool) [][]float64 {
-		restore := sampler.OverrideAccumKernel(flat)
-		defer restore()
-		// A fresh estimator per run: tally caches are per-MonteCarlo, so
-		// the second run re-executes the counting kernel rather than
-		// replaying the first run's tallies.
-		return NewMonteCarlo(g, 97).FromCenters(cs, depth, r)
-	}
-	sliced := run(false)
-	flat := run(true)
+	mc := NewMonteCarlo(g, 97)
+	sliced := mc.FromCenters(cs, depth, r)
 
-	if !reflect.DeepEqual(sliced, flat) {
+	direct := make([][]int32, len(cs))
+	for j := range direct {
+		direct[j] = make([]int32, g.NumNodes())
+	}
+	mrc := sampler.NewMultiReachCounter(g)
+	mc.Store().ScanBits(0, r, func(_ int, bits []uint64) {
+		mrc.CountWithinWorld(bits, cs, depth, direct)
+	})
+	want := make([][]float64, len(cs))
+	inv := 1 / float64(r)
+	for j, counts := range direct {
+		want[j] = make([]float64, len(counts))
+		for v, cnt := range counts {
+			want[j][v] = float64(cnt) * inv
+		}
+	}
+
+	if !reflect.DeepEqual(sliced, want) {
 		for j := range sliced {
 			for v := range sliced[j] {
-				if sliced[j][v] != flat[j][v] {
-					t.Fatalf("kernel mismatch at center %d node %d: bit-sliced %v, flat %v",
-						cs[j], v, sliced[j][v], flat[j][v])
+				if sliced[j][v] != want[j][v] {
+					t.Fatalf("kernel mismatch at center %d node %d: bit-sliced %v, direct %v",
+						cs[j], v, sliced[j][v], want[j][v])
 				}
 			}
 		}

@@ -31,15 +31,14 @@ import (
 //
 // The returned clustering C satisfies, w.h.p.,
 // avg-prob(C) >= (1-eps) * (p_opt-avg(k) / ((1+gamma) H(n)))^3  (Theorem 8).
-func ACP(o conn.Oracle, k int, opt Options) (*Clustering, Stats, error) {
+func ACP(o conn.ContextOracle, k int, opt Options) (*Clustering, Stats, error) {
 	return ACPCtx(context.Background(), o, k, opt)
 }
 
 // ACPCtx is ACP with cooperative cancellation, following the same contract
 // as MCPCtx: a deadline or cancellation aborts the sweep mid-estimation
-// (when the oracle implements conn.ContextOracle) and surfaces as ctx's
-// error; a nil-error run is bit-identical to ACP.
-func ACPCtx(ctx context.Context, o conn.Oracle, k int, opt Options) (*Clustering, Stats, error) {
+// and surfaces as ctx's error; a nil-error run is bit-identical to ACP.
+func ACPCtx(ctx context.Context, o conn.ContextOracle, k int, opt Options) (*Clustering, Stats, error) {
 	n := o.NumNodes()
 	if k < 1 || k >= n {
 		return nil, Stats{}, fmt.Errorf("core: k = %d out of range [1, %d)", k, n)

@@ -57,7 +57,7 @@ type ProgressEvent struct {
 // each other and returns the winning candidate's index (in T order), its
 // estimate vector refined to the full budget p.R, the world count the
 // racing reached, and the per-center oracle answers consumed.
-func adaptiveSelect(ctx context.Context, o conn.Oracle, uncovered []graph.NodeID, tsize int, selThresh float64, p PartialParams) (int, []float64, int, int, error) {
+func adaptiveSelect(ctx context.Context, o conn.ContextOracle, uncovered []graph.NodeID, tsize int, selThresh float64, p PartialParams) (int, []float64, int, int, error) {
 	a := p.Adaptive
 	budget := p.R
 	calls := 0
@@ -65,7 +65,7 @@ func adaptiveSelect(ctx context.Context, o conn.Oracle, uncovered []graph.NodeID
 
 	// A single candidate needs no racing: fetch it at full precision.
 	if tsize == 1 {
-		est, err := fromCenterCtx(ctx, o, uncovered[0], p.DepthSel, budget)
+		est, err := o.FromCenterCtx(ctx, uncovered[0], p.DepthSel, budget)
 		if err != nil {
 			return 0, nil, 0, 0, err
 		}
@@ -95,7 +95,7 @@ func adaptiveSelect(ctx context.Context, o conn.Oracle, uncovered []graph.NodeID
 			for j, ai := range active[base:end] {
 				cands[j] = uncovered[ai]
 			}
-			batch, err := fromCentersCtx(ctx, o, cands, p.DepthSel, r)
+			batch, err := o.FromCentersCtx(ctx, cands, p.DepthSel, r)
 			if err != nil {
 				return 0, nil, 0, 0, err
 			}
@@ -168,7 +168,7 @@ func adaptiveSelect(ctx context.Context, o conn.Oracle, uncovered []graph.NodeID
 		// the streaming argmax it feeds) keeps fixed-budget precision while
 		// the losers stay at their pruning precision.
 		var err error
-		bestEst, err = fromCenterCtx(ctx, o, uncovered[best], p.DepthSel, budget)
+		bestEst, err = o.FromCenterCtx(ctx, uncovered[best], p.DepthSel, budget)
 		if err != nil {
 			return 0, nil, 0, 0, err
 		}

@@ -113,16 +113,15 @@ type Stats struct {
 //
 // The returned clustering C satisfies, w.h.p.,
 // min-prob(C) >= (1-eps) * p_opt-min(k)^2 / (1+gamma)  (Theorem 7).
-func MCP(o conn.Oracle, k int, opt Options) (*Clustering, Stats, error) {
+func MCP(o conn.ContextOracle, k int, opt Options) (*Clustering, Stats, error) {
 	return MCPCtx(context.Background(), o, k, opt)
 }
 
 // MCPCtx is MCP with cooperative cancellation: min-partial invocations are
-// run with ctx (aborting mid-estimation when the oracle implements
-// conn.ContextOracle), so a deadline or cancellation surfaces as ctx's
-// error together with the Stats of the work done so far. A nil-error run
-// is bit-identical to MCP.
-func MCPCtx(ctx context.Context, o conn.Oracle, k int, opt Options) (*Clustering, Stats, error) {
+// run with ctx (aborting mid-estimation), so a deadline or cancellation
+// surfaces as ctx's error together with the Stats of the work done so
+// far. A nil-error run is bit-identical to MCP.
+func MCPCtx(ctx context.Context, o conn.ContextOracle, k int, opt Options) (*Clustering, Stats, error) {
 	n := o.NumNodes()
 	if k < 1 || k >= n {
 		return nil, Stats{}, fmt.Errorf("core: k = %d out of range [1, %d)", k, n)
@@ -132,7 +131,7 @@ func MCPCtx(ctx context.Context, o conn.Oracle, k int, opt Options) (*Clustering
 	return mcpRun(ctx, o, k, opt, rnd)
 }
 
-func mcpRun(ctx context.Context, o conn.Oracle, k int, opt Options, rnd *rng.Xoshiro256) (*Clustering, Stats, error) {
+func mcpRun(ctx context.Context, o conn.ContextOracle, k int, opt Options, rnd *rng.Xoshiro256) (*Clustering, Stats, error) {
 	var st Stats
 	depthSel := opt.Depth // practical: d' = d
 

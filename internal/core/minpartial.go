@@ -39,8 +39,8 @@ type PartialParams struct {
 	Eps float64
 	// Parallelism caps the number of goroutines scoring the estimate
 	// vectors returned by the batched candidate queries (lines 5-6); the
-	// oracle queries themselves are batched through conn.Oracle.FromCenters
-	// and parallelized inside the oracle. <= 0 selects GOMAXPROCS; 1
+	// oracle queries themselves are batched through FromCentersCtx and
+	// parallelized inside the oracle. <= 0 selects GOMAXPROCS; 1
 	// forces the serial loop. The selected centers — and hence the
 	// clustering — do not depend on the setting as long as the oracle
 	// itself answers identically under concurrency (conn.MonteCarlo does,
@@ -101,31 +101,6 @@ type PartialResult struct {
 	OracleCalls int
 }
 
-// fromCenterCtx routes a single-center query through the oracle's
-// context-aware path when it has one; otherwise it degrades to one ctx
-// check before the (uninterruptible) plain call. Either way a nil error
-// means the answer is bit-identical to FromCenter.
-func fromCenterCtx(ctx context.Context, o conn.Oracle, c graph.NodeID, depth, r int) ([]float64, error) {
-	if co, ok := o.(conn.ContextOracle); ok {
-		return co.FromCenterCtx(ctx, c, depth, r)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return o.FromCenter(c, depth, r), nil
-}
-
-// fromCentersCtx is the batched form of fromCenterCtx.
-func fromCentersCtx(ctx context.Context, o conn.Oracle, cs []graph.NodeID, depth, r int) ([][]float64, error) {
-	if co, ok := o.(conn.ContextOracle); ok {
-		return co.FromCentersCtx(ctx, cs, depth, r)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return o.FromCenters(cs, depth, r), nil
-}
-
 // MinPartial runs Algorithm 1 (or Algorithm 4 when Depth/DepthSel are set)
 // against the given oracle. The returned clustering covers a maximal subset
 // of nodes, each with estimated connection probability at least
@@ -134,17 +109,16 @@ func fromCentersCtx(ctx context.Context, o conn.Oracle, cs []graph.NodeID, depth
 // The "arbitrary" candidate subsets T of line 4 are drawn uniformly at
 // random from the uncovered set using rnd, matching the randomized runs
 // averaged in the paper's experiments.
-func MinPartial(o conn.Oracle, rnd *rng.Xoshiro256, p PartialParams) *PartialResult {
+func MinPartial(o conn.ContextOracle, rnd *rng.Xoshiro256, p PartialParams) *PartialResult {
 	res, _ := MinPartialCtx(context.Background(), o, rnd, p)
 	return res
 }
 
 // MinPartialCtx is MinPartial with cooperative cancellation: oracle
-// queries are routed through the oracle's context-aware path when it
-// implements conn.ContextOracle, so a deadline or cancellation aborts the
-// run mid-estimation and returns ctx's error. A nil-error run is
+// queries carry ctx, so a deadline or cancellation aborts the run
+// mid-estimation and returns ctx's error. A nil-error run is
 // bit-identical to MinPartial with the same oracle, rnd and params.
-func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p PartialParams) (*PartialResult, error) {
+func MinPartialCtx(ctx context.Context, o conn.ContextOracle, rnd *rng.Xoshiro256, p PartialParams) (*PartialResult, error) {
 	if p.Adaptive != nil {
 		if err := (conn.AdaptiveParams{Eps: p.Adaptive.Eps, Delta: p.Adaptive.Delta}).Validate(); err != nil {
 			return nil, err
@@ -260,7 +234,7 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 				if end > tsize {
 					end = tsize
 				}
-				ests, err := fromCentersCtx(ctx, o, uncovered[base:end:end], p.DepthSel, p.R)
+				ests, err := o.FromCentersCtx(ctx, uncovered[base:end:end], p.DepthSel, p.R)
 				if err != nil {
 					return nil, err
 				}
@@ -318,7 +292,7 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 		remEst := bestSelEst
 		if p.Depth != p.DepthSel {
 			var err error
-			remEst, err = fromCenterCtx(ctx, o, ci, p.Depth, p.R)
+			remEst, err = o.FromCenterCtx(ctx, ci, p.Depth, p.R)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +342,7 @@ func MinPartialCtx(ctx context.Context, o conn.Oracle, rnd *rng.Xoshiro256, p Pa
 		clusterIdx := int32(len(cl.Centers))
 		cl.Centers = append(cl.Centers, extra)
 		isCenter[extra] = true
-		est, err := fromCenterCtx(ctx, o, extra, p.Depth, p.R)
+		est, err := o.FromCenterCtx(ctx, extra, p.Depth, p.R)
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,6 @@ package sampler
 
 import (
 	bitsops "math/bits"
-	"sync/atomic"
 
 	"ucgraph/internal/graph"
 	"ucgraph/internal/rng"
@@ -274,29 +273,21 @@ type MultiReachCounter struct {
 	// planes (countGroup's post-BFS pass): the low half-add is the whole
 	// cost for most adds, and each extra carry level is exponentially
 	// rarer, so a 64-center increment costs an amortized ~2 word
-	// operations where the old flat [n*64]int32 accumulator chased one
-	// indexed int32 add per set bit. The node-major interleave puts all eight planes of a
-	// node in one 64-byte cache line, so even a full-depth carry chain
-	// stays in the line the half-add already pulled — a plane-major
-	// layout would stride carries n words apart and miss on every level.
-	// The planes also shrink the accumulator 4x (64 bytes per node
-	// instead of 256), which together with the raised maxAccumBytes cap
-	// lets paper-scale graphs (DBLP, 636751 nodes) take the accumulate
-	// path instead of falling back to direct counting. FlushAccum folds
-	// the planes into per-center counts and re-zeroes.
+	// operations where direct counting pays one indexed int32 add per set
+	// bit. The node-major interleave puts all eight planes of a node in
+	// one 64-byte cache line, so even a full-depth carry chain stays in
+	// the line the half-add already pulled — a plane-major layout would
+	// stride carries n words apart and miss on every level. At 64 bytes
+	// per node the planes let paper-scale graphs (DBLP, 636751 nodes)
+	// take the accumulate path under maxAccumBytes instead of falling
+	// back to direct counting. FlushAccum folds the planes into
+	// per-center counts and re-zeroes.
 	acc []uint64
 	// accDirty marks (one bit per node) which counters moved since the
 	// last flush, so FlushAccum merges only touched nodes instead of
 	// scanning the whole backing.
 	accDirty  []uint64
 	accWorlds int // worlds accumulated since the last flush (overflow guard)
-
-	// flatAcc is the legacy flat accumulator (flatAccum mode), kept so
-	// benchmarks and tests can compare the two accumulate kernels
-	// bit-for-bit: flatAcc[v*64 + j] counts worlds that reached v from
-	// center j.
-	flatAcc   []int32
-	flatAccum bool
 }
 
 // NewMultiReachCounter returns a batched counter over g. The bitmaps it
@@ -340,9 +331,8 @@ const accumPlanes = 8
 // maxAccumBytes caps the per-counter accumulator memory of accumulate
 // mode: graphs whose bit-sliced planes (8*accumPlanes bytes per node)
 // would exceed it fall back to direct per-vector counting. At 64 MiB the
-// bit-sliced cap admits graphs up to ~1M nodes — 16x the ~64k-node ceiling
-// of the old flat [n*64]int32 accumulator under its 16 MiB cap — so
-// paper-scale instances (DBLP, 636751 nodes) take the accumulate path. The
+// cap admits graphs up to ~1M nodes, so paper-scale instances (DBLP,
+// 636751 nodes) take the accumulate path. The
 // cap trades one worker-local block of memory for the fastest innermost
 // loop; correctness never depends on the mode.
 const maxAccumBytes = 64 << 20
@@ -356,22 +346,7 @@ const maxAccumBytes = 64 << 20
 // CountWithinWorld: both add the same per-world reach indicators, just
 // grouped differently.
 func (mrc *MultiReachCounter) BeginAccum() bool {
-	switch accumKernelOverride.Load() {
-	case 1:
-		mrc.flatAccum = true
-	case 2:
-		mrc.flatAccum = false
-	}
 	n := mrc.g.NumNodes()
-	if mrc.flatAccum {
-		if mrc.flatAcc == nil {
-			if n*64*4 > maxAccumBytes {
-				return false
-			}
-			mrc.flatAcc = make([]int32, n*64)
-		}
-		return true
-	}
 	if mrc.acc == nil {
 		if n*8*accumPlanes > maxAccumBytes {
 			return false
@@ -382,41 +357,11 @@ func (mrc *MultiReachCounter) BeginAccum() bool {
 	return true
 }
 
-// setFlatAccum switches accumulate mode to the legacy flat [n*64]int32
-// accumulator. Test/benchmark hook only: the two kernels add identical
-// integer indicators, so estimates never depend on the mode.
-func (mrc *MultiReachCounter) setFlatAccum(on bool) { mrc.flatAccum = on }
-
-// accumKernelOverride forces every counter in the process onto one
-// accumulate kernel: 0 = per-counter default (bit-sliced planes), 1 =
-// legacy flat, 2 = bit-sliced. BeginAccum consults it on every call, so
-// the override reaches counters that already sit in worldstore's reach
-// pool, not just freshly constructed ones.
-var accumKernelOverride atomic.Int32
-
-// OverrideAccumKernel forces the accumulate kernel for the whole package
-// until the returned restore func runs. It exists so end-to-end tests can
-// pin the estimator stack onto the legacy flat kernel and assert the
-// bit-sliced planes produce bit-identical results through the full
-// batched depth-limited path; production code never calls it. Overrides
-// do not nest meaningfully — restore returns to the state at call time.
-func OverrideAccumKernel(flat bool) (restore func()) {
-	v := int32(2)
-	if flat {
-		v = 1
-	}
-	prev := accumKernelOverride.Swap(v)
-	return func() { accumKernelOverride.Store(prev) }
-}
-
 // AccumCapacity returns how many worlds may be accumulated between
 // FlushAccum calls before a bit-sliced counter could overflow its planes.
 // Callers batching more worlds than this must flush on the cadence;
 // AccumWorld panics past it rather than wrapping a counter silently.
 func (mrc *MultiReachCounter) AccumCapacity() int {
-	if mrc.flatAccum {
-		return 1<<31 - 1
-	}
 	return 1<<accumPlanes - 1
 }
 
@@ -440,19 +385,6 @@ func (mrc *MultiReachCounter) AccumWorld(bits []uint64, cs []graph.NodeID, maxDe
 // must have the same length as the cs slices passed to AccumWorld since
 // the last flush.
 func (mrc *MultiReachCounter) FlushAccum(counts [][]int32) {
-	n := mrc.g.NumNodes()
-	if mrc.flatAccum {
-		for v := 0; v < n; v++ {
-			base := v << 6
-			for j := range counts {
-				if c := mrc.flatAcc[base+j]; c != 0 {
-					counts[j][v] += c
-					mrc.flatAcc[base+j] = 0
-				}
-			}
-		}
-		return
-	}
 	mrc.accWorlds = 0
 	// Sparse node-major merge: the dirty bitmap names exactly the nodes
 	// whose counters moved since the last flush, so untouched regions of
@@ -485,8 +417,7 @@ func (mrc *MultiReachCounter) FlushAccum(counts [][]int32) {
 
 // countGroup advances one ≤64-center mask group through the world,
 // recording reach either directly into counts (accum false) or into the
-// accumulator — bit-sliced planes or the legacy flat block — in accumulate
-// mode.
+// bit-sliced planes in accumulate mode.
 func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDepth int, counts [][]int32, accum bool) {
 	mrc.epoch++
 	if mrc.epoch == 0 { // wrapped; clear and restart epochs
@@ -504,7 +435,6 @@ func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDe
 	// with the traversal (one addMask per propagation event) costs ~60%
 	// more — the carry walk competes with the BFS state for registers and
 	// re-adds bits the next layer would have folded into one mask.
-	sliced := accum && !mrc.flatAccum
 	touched := mrc.touched[:0]
 
 	// Layer 0: seed every center's wave (duplicate centers share a node
@@ -515,16 +445,13 @@ func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDe
 			ve[c] = epoch
 			visit[c] = 0
 			frontier = append(frontier, c)
-			if sliced {
+			if accum {
 				touched = append(touched, c)
 			}
 		}
 		visit[c] |= 1 << uint(j)
-		switch {
-		case !accum:
+		if !accum {
 			counts[j][c]++
-		case mrc.flatAccum:
-			mrc.flatAcc[int(c)<<6+j]++
 		}
 	}
 	for _, c := range frontier {
@@ -558,7 +485,7 @@ func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDe
 				if ve[v] != epoch {
 					ve[v] = epoch
 					visit[v] = 0
-					if sliced {
+					if accum {
 						touched = append(touched, v)
 					}
 				}
@@ -573,15 +500,9 @@ func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDe
 					next = append(next, v)
 				}
 				nxt[v] |= prop
-				switch {
-				case !accum:
+				if !accum {
 					for p := prop; p != 0; p &= p - 1 {
 						counts[bitsops.TrailingZeros64(p)][v]++
-					}
-				case mrc.flatAccum:
-					base := int(v) << 6
-					for p := prop; p != 0; p &= p - 1 {
-						mrc.flatAcc[base+bitsops.TrailingZeros64(p)]++
 					}
 				}
 			}
@@ -590,11 +511,11 @@ func (mrc *MultiReachCounter) countGroup(bits []uint64, cs []graph.NodeID, maxDe
 		cur, nxt = nxt, cur
 		depth++
 	}
-	if sliced {
+	if accum {
 		acc, dirty := mrc.acc, mrc.accDirty
 		// One ripple-carry word add per reached node covers every center
 		// in its final mask — the bit-sliced replacement for the per-bit
-		// indexed increments of the modes above. The ripple runs
+		// indexed increments of direct counting above. The ripple runs
 		// branchless through plane 3, all in the node's cache line: a
 		// level-k carry occurs on ~2^-k of adds, so branching earlier
 		// mispredicts too often, while past level 3 (~6%) the branch

@@ -56,10 +56,10 @@ func BenchmarkScatterWorkers(b *testing.B) {
 	for _, nw := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", nw), func(b *testing.B) {
 			coord := NewCoordinator("bg", g, benchSeed, startWorkers(b, "bg", g, benchSeed, nw), CoordinatorOptions{})
-			coord.FromCenters(cs, conn.Unlimited, benchWorlds) // warm the worker stores
+			coordCenters(b, coord, cs, conn.Unlimited, benchWorlds) // warm the worker stores
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coord.Fork().FromCenters(cs, conn.Unlimited, benchWorlds)
+				coordCenters(b, coord.Fork(), cs, conn.Unlimited, benchWorlds)
 			}
 		})
 	}
@@ -74,7 +74,7 @@ func BenchmarkScatterWorkersTraced(b *testing.B) {
 	g := testGraph(b, benchNodes, 2)
 	cs := benchCenters(benchNodes)
 	coord := NewCoordinator("bg", g, benchSeed, startWorkers(b, "bg", g, benchSeed, 4), CoordinatorOptions{})
-	coord.FromCenters(cs, conn.Unlimited, benchWorlds) // warm the worker stores
+	coordCenters(b, coord, cs, conn.Unlimited, benchWorlds) // warm the worker stores
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTrace("bench-query")

@@ -47,7 +47,7 @@ type CoordinatorOptions struct {
 	// failure, and never double-merged (the group's win flag admits
 	// exactly one answer). Zero disables hedging.
 	HedgeDelay time.Duration
-	// Parallelism is handed to the local fallback estimator (<= 0 selects
+	// Parallelism is handed to the estimator for local counting (<= 0 selects
 	// GOMAXPROCS). Results do not depend on it.
 	Parallelism int
 
@@ -233,25 +233,12 @@ func (wc *workerClient) snapshot() WorkerStats {
 	return wc.stats
 }
 
-// do posts one JSON request and decodes the JSON response into out (v1
-// endpoints: ping, and the frozen tally endpoint used by tests).
-func (wc *workerClient) do(ctx context.Context, path string, in, out any) error {
-	var body io.Reader
-	method := http.MethodGet
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, wc.base+path, body)
+// do GETs one JSON endpoint (the v1 ping) and decodes the response into
+// out.
+func (wc *workerClient) do(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+path, nil)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := wc.client.Do(req)
 	if err != nil {
@@ -630,20 +617,6 @@ type FabricStats struct {
 	AuditDivergences uint64
 }
 
-// coTally is one cached center tally of the coordinator: per-node counts
-// over the first rDone worlds (the same shape conn.MonteCarlo caches, so
-// progressive sampling schedules extend instead of recomputing).
-type coTally struct {
-	mu     sync.Mutex
-	counts []int32
-	rDone  int
-}
-
-type coKey struct {
-	c     graph.NodeID
-	depth int
-}
-
 // Coordinator implements the estimator surface over a fleet of shard
 // workers: every query becomes one or more scatter rounds of disjoint
 // block-aligned world ranges, and the gathered integer tallies are summed
@@ -664,24 +637,19 @@ type coKey struct {
 // degrades to the in-process estimator over the shared world store of the
 // same (graph, seed).
 //
-// Like the estimator it mirrors, a Coordinator caches per-(center, depth)
-// tallies and extends them when later queries raise the sample size, so a
-// progressive clustering schedule scatters only the new worlds of each
+// Center queries go through one conn.MonteCarlo whose world counter is the
+// coordinator (countFrom): the estimator keeps the per-(center, depth)
+// tally cache and extends it when later queries raise the sample size, so
+// a progressive clustering schedule scatters only the new worlds of each
 // phase. Safe for concurrent use.
 type Coordinator struct {
 	name  string
 	g     *graph.Uncertain
 	seed  uint64
 	store *worldstore.Store
-	local *conn.MonteCarlo
+	mc    *conn.MonteCarlo
 	fleet *fleet
 	opts  CoordinatorOptions
-
-	mu        sync.Mutex
-	cache     map[coKey]*coTally
-	order     []coKey
-	cacheHead int
-	maxCache  int
 }
 
 var _ conn.ContextOracle = (*Coordinator)(nil)
@@ -692,52 +660,32 @@ var _ conn.ContextOracle = (*Coordinator)(nil)
 // in-process estimator instead — the single-binary degenerate deployment.
 func NewCoordinator(name string, g *graph.Uncertain, seed uint64, workerAddrs []string, opts CoordinatorOptions) *Coordinator {
 	opts = opts.withDefaults()
-	local := conn.NewMonteCarlo(g, seed)
-	local.SetParallelism(opts.Parallelism)
-	n := g.NumNodes()
-	maxCache := 64 << 20 / (4 * n)
-	if maxCache < 64 {
-		maxCache = 64
-	}
-	return &Coordinator{
-		name:     name,
-		g:        g,
-		seed:     seed,
-		store:    local.Store(),
-		local:    local,
-		fleet:    newFleet(workerAddrs, opts.Client),
-		opts:     opts,
-		cache:    make(map[coKey]*coTally),
-		maxCache: maxCache,
-	}
+	return newCoordinator(name, g, seed, newFleet(workerAddrs, opts.Client), opts)
+}
+
+// newCoordinator builds a coordinator over fleet with a fresh estimator.
+func newCoordinator(name string, g *graph.Uncertain, seed uint64, f *fleet, opts CoordinatorOptions) *Coordinator {
+	c := &Coordinator{name: name, g: g, seed: seed, fleet: f, opts: opts}
+	c.mc = conn.NewMonteCarloWithCounter(g, seed, c.countFrom)
+	c.mc.SetParallelism(opts.Parallelism)
+	c.store = c.mc.Store()
+	return c
 }
 
 // Fork returns a coordinator sharing this one's fleet (workers, membership
-// and health stats) but with a fresh, private tally cache — the sharded
-// analogue of building a private conn.MonteCarlo for one clustering run,
-// so the run's result depends only on (graph, seed, request), never on
-// which centers other traffic warmed first.
+// and health stats) but with a fresh estimator, and so a private tally
+// cache — the sharded analogue of building a private conn.MonteCarlo for
+// one clustering run, so the run's result depends only on (graph, seed,
+// request), never on which centers other traffic warmed first.
 func (c *Coordinator) Fork() *Coordinator {
-	fork := &Coordinator{
-		name:     c.name,
-		g:        c.g,
-		seed:     c.seed,
-		store:    c.store,
-		local:    conn.NewMonteCarlo(c.g, c.seed),
-		fleet:    c.fleet,
-		opts:     c.opts,
-		cache:    make(map[coKey]*coTally),
-		maxCache: c.maxCache,
-	}
-	fork.local.SetParallelism(c.opts.Parallelism)
-	return fork
+	return newCoordinator(c.name, c.g, c.seed, c.fleet, c.opts)
 }
 
 // Sharded reports whether the coordinator has (non-removed) workers; false
 // means every query runs locally.
 func (c *Coordinator) Sharded() bool { return len(c.fleet.active()) > 0 }
 
-// NumNodes implements conn.Oracle.
+// NumNodes implements conn.ContextOracle.
 func (c *Coordinator) NumNodes() int { return c.g.NumNodes() }
 
 // Graph returns the underlying graph.
@@ -973,7 +921,7 @@ func (c *Coordinator) pingMember(ctx context.Context, m *member) error {
 	wc := m.wc
 	var resp PingResponse
 	t0 := time.Now()
-	werr := wc.do(ctx, PathPing, nil, &resp)
+	werr := wc.do(ctx, PathPing, &resp)
 	if werr == nil {
 		found := false
 		for _, pg := range resp.Graphs {
@@ -1319,207 +1267,85 @@ func (c *Coordinator) attemptWorker(ctx context.Context, g *scatterGroup, m *mem
 
 // ---- conn.ContextOracle --------------------------------------------------
 
-// lookupTally returns the cached tally for key, inserting an empty one
-// (with FIFO ring eviction, mirroring conn.MonteCarlo) if absent.
-func (c *Coordinator) lookupTally(key coKey) *coTally {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tally, ok := c.cache[key]
-	if !ok {
-		if len(c.order) >= c.maxCache {
-			delete(c.cache, c.order[c.cacheHead])
-			c.order[c.cacheHead] = key
-			c.cacheHead++
-			if c.cacheHead == len(c.order) {
-				c.cacheHead = 0
-			}
-		} else {
-			c.order = append(c.order, key)
-		}
-		tally = &coTally{counts: make([]int32, c.g.NumNodes())}
-		c.cache[key] = tally
-	}
-	return tally
-}
-
-// estimate converts a tally into the caller-owned estimate vector, with
-// the exact float operations conn.MonteCarlo uses (multiply by the
-// reciprocal), so coordinator estimates are bit-identical to local ones.
-// The caller holds tally.mu.
-func (tally *coTally) estimate() []float64 {
-	out := make([]float64, len(tally.counts))
-	inv := 1 / float64(tally.rDone)
-	for i, cnt := range tally.counts {
-		out[i] = float64(cnt) * inv
-	}
-	return out
-}
-
-// FromCenter implements conn.Oracle.
-func (c *Coordinator) FromCenter(ctr graph.NodeID, depth int, r int) []float64 {
-	out, _ := c.FromCenterCtx(context.Background(), ctr, depth, r)
-	return out
-}
-
-// FromCenters implements conn.Oracle.
-func (c *Coordinator) FromCenters(cs []graph.NodeID, depth int, r int) [][]float64 {
-	out, _ := c.FromCentersCtx(context.Background(), cs, depth, r)
-	return out
-}
-
 // FromCenterCtx implements conn.ContextOracle.
 func (c *Coordinator) FromCenterCtx(ctx context.Context, ctr graph.NodeID, depth int, r int) ([]float64, error) {
-	out, err := c.FromCentersCtx(ctx, []graph.NodeID{ctr}, depth, r)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// coSlot tracks one distinct (center, depth) of a batch.
-type coSlot struct {
-	key   coKey
-	tally *coTally
-	outAt []int
+	return c.mc.FromCenterCtx(ctx, ctr, depth, r)
 }
 
 // FromCentersCtx implements conn.ContextOracle: per-center estimate
 // vectors over the first r worlds (or more, when a cached tally already
-// covers more — the same higher-precision contract as conn.MonteCarlo).
-// Pending tallies are extended by scattering only their missing world
-// range; tallies at different progress levels scatter as separate rounds,
-// and every gathered count lands in a scratch buffer that is folded into
-// the cache only when its round fully succeeds — cancellation and worker
-// failures withhold answers, never corrupt tallies.
+// covers more — the higher-precision contract of conn.MonteCarlo, whose
+// tally cache answers it).
 func (c *Coordinator) FromCentersCtx(ctx context.Context, cs []graph.NodeID, depth int, r int) ([][]float64, error) {
+	return c.mc.FromCentersCtx(ctx, cs, depth, r)
+}
+
+// countFrom is the estimator's world counter (conn.CountFunc): it
+// scatters each pending tally's missing range [lo[i], hi) to the fleet.
+// Tallies at the same progress share one scatter round; tallies at
+// different progress levels scatter as separate rounds. Every gathered
+// count lands in a scratch buffer, and the scratch is folded into counts
+// only once every round has succeeded, so cancellation and worker
+// failures withhold answers, never corrupt tallies. With no workers it
+// declines and the estimator counts locally.
+func (c *Coordinator) countFrom(ctx context.Context, cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) (bool, error) {
 	if !c.Sharded() {
-		return c.local.FromCentersCtx(ctx, cs, depth, r)
+		return false, nil
 	}
-	if len(cs) == 0 {
-		return nil, nil
+	kind, reqDepth := KindConnected, 0
+	if depth >= 0 {
+		kind, reqDepth = KindWithin, depth
 	}
-	if r < 1 {
-		r = 1
-	}
-	if depth < 0 {
-		depth = conn.Unlimited
-	}
-
-	// Deduplicate centers, preserving first-occurrence order (duplicates
-	// share one tally and one scatter slot).
-	slots := make([]*coSlot, 0, len(cs))
-	byKey := make(map[coKey]*coSlot, len(cs))
-	for i, ctr := range cs {
-		key := coKey{c: ctr, depth: depth}
-		sl := byKey[key]
-		if sl == nil {
-			sl = &coSlot{key: key}
-			byKey[key] = sl
-			slots = append(slots, sl)
-		}
-		sl.outAt = append(sl.outAt, i)
-	}
-	for _, sl := range slots {
-		sl.tally = c.lookupTally(sl.key)
-	}
-
-	// Lock in canonical center order so concurrent overlapping batches
-	// cannot deadlock (same discipline as conn.MonteCarlo).
-	locked := make([]*coSlot, len(slots))
-	copy(locked, slots)
-	sort.Slice(locked, func(i, j int) bool { return locked[i].key.c < locked[j].key.c })
-	for _, sl := range locked {
-		sl.tally.mu.Lock()
-	}
-	defer func() {
-		for _, sl := range locked {
-			sl.tally.mu.Unlock()
-		}
-	}()
-
-	// Group pending slots by their current progress: each distinct rDone
-	// needs a different world range, and within a group one scatter
-	// answers every center.
-	groups := make(map[int][]*coSlot)
-	for _, sl := range slots {
-		if sl.tally.rDone < r {
-			groups[sl.tally.rDone] = append(groups[sl.tally.rDone], sl)
-		}
+	// Group the pending tallies by progress: each distinct lo needs a
+	// different world range, and within a group one scatter answers every
+	// center.
+	groups := make(map[int][]int)
+	for i, l := range lo {
+		groups[l] = append(groups[l], i)
 	}
 	los := make([]int, 0, len(groups))
-	for lo := range groups {
-		los = append(los, lo)
+	for l := range groups {
+		los = append(los, l)
 	}
 	sort.Ints(los)
 	n := c.g.NumNodes()
-	for _, lo := range los {
-		group := groups[lo]
+	scratch := make([][]int32, len(los))
+	for k, l := range los {
+		group := groups[l]
 		centers := make([]graph.NodeID, len(group))
-		for j, sl := range group {
-			centers[j] = sl.key.c
+		for j, i := range group {
+			centers[j] = cs[i]
 		}
-		kind := KindConnected
-		reqDepth := 0
-		if depth >= 0 {
-			kind = KindWithin
-			reqDepth = depth
-		}
-		scratch := make([]int32, len(group)*n)
-		var mergeMu sync.Mutex
-		err := c.scatter(ctx, TallyRequest{
-			Kind:    kind,
-			Centers: centers,
-			Depth:   reqDepth,
-		}, lo, r, func(resp *TallyResponse) {
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
+		buf := make([]int32, len(group)*n)
+		err := c.scatter(ctx, TallyRequest{Kind: kind, Centers: centers, Depth: reqDepth}, l, hi, func(resp *TallyResponse) {
 			for j := range group {
-				row := scratch[j*n : (j+1)*n]
+				row := buf[j*n : (j+1)*n]
 				for u, cnt := range resp.Counts[j] {
 					row[u] += cnt
 				}
 			}
 		})
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		// The fold of the round's scratch into the cached tallies — the
-		// "merge" step of the scatter/gather pipeline, separate from the
-		// scatter span so an operator sees gather time and fold time
-		// apart.
+		scratch[k] = buf
+	}
+	// The fold of each round's scratch into the tallies — the "merge"
+	// step of the scatter/gather pipeline, separate from the scatter span
+	// so an operator sees gather time and fold time apart.
+	for k, l := range los {
+		group := groups[l]
 		_, msp := obs.StartSpan(ctx, "merge")
 		msp.Set("centers", int64(len(group)))
-		msp.Set("worlds", int64(r-lo))
-		for j, sl := range group {
-			row := scratch[j*n : (j+1)*n]
-			for u, cnt := range row {
-				sl.tally.counts[u] += cnt
+		msp.Set("worlds", int64(hi-l))
+		for j, i := range group {
+			for u, cnt := range scratch[k][j*n : (j+1)*n] {
+				counts[i][u] += cnt
 			}
-			sl.tally.rDone = r
 		}
 		msp.End()
 	}
-
-	out := make([][]float64, len(cs))
-	for _, sl := range slots {
-		est := sl.tally.estimate()
-		for i, pos := range sl.outAt {
-			if i == 0 {
-				out[pos] = est
-			} else {
-				cp := make([]float64, len(est))
-				copy(cp, est)
-				out[pos] = cp
-			}
-		}
-	}
-	return out, nil
-}
-
-// Pair estimates Pr(u ~ v) with r samples.
-func (c *Coordinator) Pair(u, v graph.NodeID, r int) float64 {
-	p, _ := c.PairCtx(context.Background(), u, v, r)
-	return p
+	return true, nil
 }
 
 // PairCtx estimates Pr(u ~ v) over the first r worlds by scattering the
@@ -1527,7 +1353,7 @@ func (c *Coordinator) Pair(u, v graph.NodeID, r int) float64 {
 // count, same division).
 func (c *Coordinator) PairCtx(ctx context.Context, u, v graph.NodeID, r int) (float64, error) {
 	if !c.Sharded() {
-		return c.local.PairCtx(ctx, u, v, r)
+		return c.mc.PairCtx(ctx, u, v, r)
 	}
 	var (
 		mu  sync.Mutex

@@ -114,7 +114,7 @@ func TestMembershipJoinAndLeave(t *testing.T) {
 	coord := NewCoordinator("tg", g, seed, workers[:2], CoordinatorOptions{})
 
 	centers := []graph.NodeID{3, 40, 68}
-	got := coord.FromCenters(centers, conn.Unlimited, 300)
+	got := coordCenters(t, coord, centers, conn.Unlimited, 300)
 	want := local.FromCenters(centers, conn.Unlimited, 300)
 	for i := range want {
 		sameFloats(t, "before join", got[i], want[i])
@@ -125,7 +125,7 @@ func TestMembershipJoinAndLeave(t *testing.T) {
 	if len(coord.Workers()) != 3 {
 		t.Fatalf("workers = %v", coord.Workers())
 	}
-	got = coord.FromCenters(centers, conn.Unlimited, 1200)
+	got = coordCenters(t, coord, centers, conn.Unlimited, 1200)
 	want = local.FromCenters(centers, conn.Unlimited, 1200)
 	for i := range want {
 		sameFloats(t, "after join", got[i], want[i])
@@ -147,14 +147,14 @@ func TestMembershipJoinAndLeave(t *testing.T) {
 	if len(coord.Workers()) != 2 {
 		t.Fatalf("workers after remove = %v", coord.Workers())
 	}
-	got = coord.FromCenters(centers, conn.Unlimited, 2000)
+	got = coordCenters(t, coord, centers, conn.Unlimited, 2000)
 	want = local.FromCenters(centers, conn.Unlimited, 2000)
 	for i := range want {
 		sameFloats(t, "after leave", got[i], want[i])
 	}
 	// Re-adding revives the same slot.
 	coord.AddWorker(workers[0])
-	got = coord.FromCenters(centers, 2, 500)
+	got = coordCenters(t, coord, centers, 2, 500)
 	want = local.FromCenters(centers, 2, 500)
 	for i := range want {
 		sameFloats(t, "after rejoin", got[i], want[i])
@@ -275,11 +275,11 @@ func TestStreamReconnects(t *testing.T) {
 	})
 
 	sameFloats(t, "before cut",
-		coord.FromCenter(1, conn.Unlimited, 300),
+		coordCenter(t, coord, 1, conn.Unlimited, 300),
 		local.FromCenter(1, conn.Unlimited, 300))
 	proxy.KillConns() // sever the stream, worker itself stays healthy
 	sameFloats(t, "after cut",
-		coord.FromCenter(2, conn.Unlimited, 300),
+		coordCenter(t, coord, 2, conn.Unlimited, 300),
 		local.FromCenter(2, conn.Unlimited, 300))
 }
 
@@ -294,12 +294,12 @@ func TestWorkerTallyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}}}
-	first, cached, err := w.serveTally(context.Background(), req)
+	first, cached, _, err := w.serveTally(context.Background(), req, false)
 	if err != nil || cached {
 		t.Fatalf("first: cached=%v err=%v", cached, err)
 	}
 	worlds := w.Counters().Worlds
-	second, cached, err := w.serveTally(context.Background(), req)
+	second, cached, _, err := w.serveTally(context.Background(), req, false)
 	if err != nil || !cached {
 		t.Fatalf("second: cached=%v err=%v", cached, err)
 	}
@@ -318,7 +318,7 @@ func TestWorkerTallyCache(t *testing.T) {
 	}
 	// A partially-overlapping request hits only the warm range.
 	req2 := &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{1, 5}, Ranges: []Range{{Lo: 0, Hi: 200}, {Lo: 200, Hi: 400}}}
-	_, cached, err = w.serveTally(context.Background(), req2)
+	_, cached, _, err = w.serveTally(context.Background(), req2, false)
 	if err != nil || cached {
 		t.Fatalf("extension: cached=%v err=%v (only one range is warm)", cached, err)
 	}
@@ -332,10 +332,10 @@ func TestWorkerTallyCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &TallyRequest{Graph: "tg", Kind: KindPair, U: 0, V: 5, Ranges: []Range{{Lo: 0, Hi: 100}}}
-	if _, cached, err := w.serveTally(context.Background(), req); err != nil || cached {
+	if _, cached, _, err := w.serveTally(context.Background(), req, false); err != nil || cached {
 		t.Fatalf("cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := w.serveTally(context.Background(), req); err != nil || cached {
+	if _, cached, _, err := w.serveTally(context.Background(), req, false); err != nil || cached {
 		t.Fatalf("repeat with cache disabled: cached=%v err=%v", cached, err)
 	}
 	if c := w.Counters(); c.CacheHits != 0 {
@@ -356,11 +356,11 @@ func TestWorkerTallyCacheEviction(t *testing.T) {
 		return &TallyRequest{Graph: "tg", Kind: KindConnected, Centers: []int32{center}, Ranges: []Range{{Lo: 0, Hi: 128}}}
 	}
 	for _, ctr := range []int32{1, 2, 3} {
-		if _, _, err := w.serveTally(context.Background(), mk(ctr)); err != nil {
+		if _, _, _, err := w.serveTally(context.Background(), mk(ctr), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, cached, _ := w.serveTally(context.Background(), mk(1)); cached {
+	if _, cached, _, _ := w.serveTally(context.Background(), mk(1), false); cached {
 		t.Fatal("first entry should have been evicted")
 	}
 	if w.cache.bytes > 1100 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,6 +71,32 @@ func sameFloats(t *testing.T, label string, got, want []float64) {
 			t.Fatalf("%s: [%d] = %v, want %v (bit difference)", label, i, got[i], want[i])
 		}
 	}
+}
+
+// coordCenters, coordCenter and coordPair are the context-free coordinator
+// queries of these tests: an error fails the test instead of being
+// returned.
+func coordCenters(t testing.TB, c *Coordinator, cs []graph.NodeID, depth, r int) [][]float64 {
+	t.Helper()
+	out, err := c.FromCentersCtx(context.Background(), cs, depth, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func coordCenter(t testing.TB, c *Coordinator, ctr graph.NodeID, depth, r int) []float64 {
+	t.Helper()
+	return coordCenters(t, c, []graph.NodeID{ctr}, depth, r)[0]
+}
+
+func coordPair(t testing.TB, c *Coordinator, u, v graph.NodeID, r int) float64 {
+	t.Helper()
+	p, err := c.PairCtx(context.Background(), u, v, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestPartitionCoversExactlyOnce(t *testing.T) {
@@ -167,17 +194,17 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 			// Progressive extension: the coordinator scatters only
 			// [r1, r2) and the merged tally still matches.
 			want2 := local.FromCenters(centers, depth, r2)
-			got2 := coord.FromCenters(centers, depth, r2)
+			got2 := coordCenters(t, coord, centers, depth, r2)
 			for i := range want2 {
 				sameFloats(t, "FromCenters extension", got2[i], want2[i])
 			}
 			// A fresh single center after the batch.
 			wantC := local.FromCenter(55, depth, r2)
-			gotC := coord.FromCenter(55, depth, r2)
+			gotC := coordCenter(t, coord, 55, depth, r2)
 			sameFloats(t, "FromCenter", gotC, wantC)
 		}
 		wantP := local.Pair(3, 60, r2)
-		gotP := coord.Pair(3, 60, r2)
+		gotP := coordPair(t, coord, 3, 60, r2)
 		if math.Float64bits(wantP) != math.Float64bits(gotP) {
 			t.Fatalf("workers=%d: Pair = %v, want %v", nw, gotP, wantP)
 		}
@@ -196,12 +223,61 @@ func TestCoordinatorMixedProgress(t *testing.T) {
 	// (one cold) to 500.
 	local.FromCenter(1, conn.Unlimited, 300)
 	local.FromCenter(2, conn.Unlimited, 100)
-	coord.FromCenter(1, conn.Unlimited, 300)
-	coord.FromCenter(2, conn.Unlimited, 100)
+	coordCenter(t, coord, 1, conn.Unlimited, 300)
+	coordCenter(t, coord, 2, conn.Unlimited, 100)
 	want := local.FromCenters([]graph.NodeID{1, 2, 3}, conn.Unlimited, 500)
-	got := coord.FromCenters([]graph.NodeID{1, 2, 3}, conn.Unlimited, 500)
+	got := coordCenters(t, coord, []graph.NodeID{1, 2, 3}, conn.Unlimited, 500)
 	for i := range want {
 		sameFloats(t, "mixed progress", got[i], want[i])
+	}
+}
+
+// TestCoordinatorFoldIsAllOrNothing: a batch whose tallies sit at two
+// progress levels scatters two rounds; when the second round fails, the
+// first round's counts must not reach the tally cache either — every
+// tally stays at its prior world count — and the retried batch answers
+// bit-identically to a local estimator.
+func TestCoordinatorFoldIsAllOrNothing(t *testing.T) {
+	g := testGraph(t, 64, 5)
+	const seed = 9
+	proxy := newChaosProxy(t, startWorkers(t, "tg", g, seed, 1)[0])
+	var armed atomic.Bool
+	coord := NewCoordinator("tg", g, seed, []string{proxy.URL()}, CoordinatorOptions{
+		Retries:        1,
+		RequestTimeout: 5 * time.Second,
+		// Once armed, the first answered round takes the worker down, so
+		// every later round of the batch fails.
+		OnWorkerRTT: func(string, time.Duration) {
+			if armed.CompareAndSwap(true, false) {
+				proxy.SetDown(true)
+			}
+		},
+	})
+
+	// Center 1 at 100 worlds, center 2 at 300: a batch to 500 scatters
+	// [100, 500) for center 1, then [300, 500) for center 2.
+	coordCenter(t, coord, 1, conn.Unlimited, 100)
+	coordCenter(t, coord, 2, conn.Unlimited, 300)
+	armed.Store(true)
+	if _, err := coord.FromCentersCtx(context.Background(), []graph.NodeID{1, 2}, conn.Unlimited, 500); err == nil {
+		t.Fatal("expected the batch to fail with its second round")
+	}
+	if armed.Load() {
+		t.Fatal("the first round never answered")
+	}
+
+	// A cached tally answers any smaller request at its own precision, so
+	// a one-world query reads each tally's world count back without
+	// scattering (the worker is still down).
+	local := conn.NewMonteCarlo(g, seed)
+	sameFloats(t, "center 1 after the failed batch", coordCenter(t, coord, 1, conn.Unlimited, 1), local.FromCenter(1, conn.Unlimited, 100))
+	sameFloats(t, "center 2 after the failed batch", coordCenter(t, coord, 2, conn.Unlimited, 1), local.FromCenter(2, conn.Unlimited, 300))
+
+	proxy.SetDown(false)
+	want := local.FromCenters([]graph.NodeID{1, 2}, conn.Unlimited, 500)
+	got := coordCenters(t, coord, []graph.NodeID{1, 2}, conn.Unlimited, 500)
+	for i := range want {
+		sameFloats(t, "retried batch", got[i], want[i])
 	}
 }
 
@@ -244,7 +320,7 @@ func TestCoordinatorRetriesWithoutDoubleCounting(t *testing.T) {
 	// both workers and still matches.
 	proxy.SetDown(false)
 	want2 := local.FromCenters(centers, 2, 400)
-	got2 := coord.FromCenters(centers, 2, 400)
+	got2 := coordCenters(t, coord, centers, 2, 400)
 	for i := range want2 {
 		sameFloats(t, "post-restart query", got2[i], want2[i])
 	}
@@ -326,8 +402,8 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 		t.Fatal("no workers -> not sharded")
 	}
 	local := conn.NewMonteCarlo(g, seed)
-	sameFloats(t, "fallback FromCenter", coord.FromCenter(5, conn.Unlimited, 200), local.FromCenter(5, conn.Unlimited, 200))
-	if got, want := coord.Pair(1, 30, 200), local.Pair(1, 30, 200); math.Float64bits(got) != math.Float64bits(want) {
+	sameFloats(t, "fallback FromCenter", coordCenter(t, coord, 5, conn.Unlimited, 200), local.FromCenter(5, conn.Unlimited, 200))
+	if got, want := coordPair(t, coord, 1, 30, 200), local.Pair(1, 30, 200); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("fallback Pair = %v, want %v", got, want)
 	}
 	dd, err := coord.DistancesCtx(context.Background(), 3, 120)
@@ -403,20 +479,20 @@ func TestCoordinatorForkIsolation(t *testing.T) {
 	const seed = 3
 	coord := NewCoordinator("tg", g, seed, startWorkers(t, "tg", g, seed, 2), CoordinatorOptions{})
 	// Warm the parent's tally for center 0 to high precision.
-	coord.FromCenter(0, conn.Unlimited, 800)
+	coordCenter(t, coord, 0, conn.Unlimited, 800)
 	// A fork must answer a smaller request at the requested precision,
 	// exactly like a fresh estimator would.
 	fresh := conn.NewMonteCarlo(g, seed)
-	sameFloats(t, "forked coordinator", coord.Fork().FromCenter(0, conn.Unlimited, 100), fresh.FromCenter(0, conn.Unlimited, 100))
+	sameFloats(t, "forked coordinator", coordCenter(t, coord.Fork(), 0, conn.Unlimited, 100), fresh.FromCenter(0, conn.Unlimited, 100))
 	// The parent itself answers at its cached precision (the documented
 	// higher-precision contract).
 	warm := conn.NewMonteCarlo(g, seed)
 	warm.FromCenter(0, conn.Unlimited, 800)
-	sameFloats(t, "warm coordinator", coord.FromCenter(0, conn.Unlimited, 100), warm.FromCenter(0, conn.Unlimited, 100))
+	sameFloats(t, "warm coordinator", coordCenter(t, coord, 0, conn.Unlimited, 100), warm.FromCenter(0, conn.Unlimited, 100))
 }
 
-// TestWorkerValidation: malformed tally requests report 400/404, not
-// garbage tallies.
+// TestWorkerValidation: malformed tally requests get an error frame over
+// the v2 stream, not garbage tallies, and each counts as a failed request.
 func TestWorkerValidation(t *testing.T) {
 	g := testGraph(t, 16, 1)
 	w, err := NewWorker([]WorkerGraph{{Name: "tg", Graph: g, Seed: 1}}, WorkerOptions{MaxWorlds: 1000})
@@ -425,7 +501,11 @@ func TestWorkerValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(w)
 	t.Cleanup(ts.Close)
-	wc := newWorkerClient(ts.URL, &http.Client{})
+	sc, err := newStreamClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sc.close)
 
 	cases := []TallyRequest{
 		{Graph: "nope", Kind: KindConnected, Ranges: []Range{{0, 10}}, Centers: []int32{0}},
@@ -440,14 +520,46 @@ func TestWorkerValidation(t *testing.T) {
 		{Graph: "tg", Kind: KindMarginal, Ranges: []Range{{0, 10}}, Candidates: []int32{99}},
 	}
 	for i, req := range cases {
-		var resp TallyResponse
-		if err := wc.do(context.Background(), PathTally, &req, &resp); err == nil {
+		if err := rawStreamCall(t, sc, uint64(i+1), &req); err == nil {
 			t.Fatalf("case %d: expected an error", i)
 		}
 	}
 	if c := w.Counters(); c.Failures == 0 || c.Requests != uint64(len(cases)) {
 		t.Fatalf("counters: %+v", c)
 	}
+}
+
+// rawStreamCall sends req as one REQ frame over sc and returns the
+// worker's error, if any. A kind with no wire code still goes out — as an
+// unassigned kind byte — so the worker, not the client encoder, is the one
+// to reject it.
+func rawStreamCall(t *testing.T, sc *streamClient, id uint64, req *TallyRequest) error {
+	t.Helper()
+	wire := *req
+	_, known := kindCode[req.Kind]
+	if !known {
+		wire.Kind = KindConnected
+	}
+	body, err := encodeRequestBody(nil, &wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !known {
+		body[0] = 0xff // the kind code
+	}
+	frame := finishFrame(append(appendHeader(nil, frameReq, 0, id), body...), 0)
+	conn, err := sc.get(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := conn.register(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.writeFrame(sealFrame(frame, conn.sum)); err != nil {
+		t.Fatal(err)
+	}
+	return (<-ch).err
 }
 
 // TestWorkerPing: the ping response carries the identity the coordinator
@@ -462,7 +574,7 @@ func TestWorkerPing(t *testing.T) {
 	t.Cleanup(ts.Close)
 	wc := newWorkerClient(ts.URL, &http.Client{})
 	var resp PingResponse
-	if err := wc.do(context.Background(), PathPing, nil, &resp); err != nil {
+	if err := wc.do(context.Background(), PathPing, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Graphs) != 1 || resp.Graphs[0].Name != "tg" ||

@@ -20,7 +20,7 @@ import (
 // long-lived connection per worker, and the worker-side connection loop.
 // The stream is established by upgrading POST /shard/v2/stream (an HTTP/1.1
 // 101 switch, so it routes through the same mux, port and load balancers
-// as the JSON endpoints) and then carries nothing but the length-prefixed
+// as the JSON ping endpoint) and then carries nothing but the length-prefixed
 // binary frames of wire.go in both directions. See docs/SHARD_PROTOCOL.md.
 
 // streamDialTimeout bounds the TCP + upgrade handshake of one dial.
@@ -439,17 +439,19 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 			// checksum choice — per-request, negotiated per-connection.
 			// The trace ref trailer must come off before decode (the
 			// decoder enforces exact consumption of the canonical bytes).
-			body, ref, terr := splitTraceRef(h, body)
-			if terr != nil {
-				_ = conn.writeFrame(sealFrame(encodeErrorFrame(h.id, errCodeBadRequest, terr.Error()), sum))
-				continue
+			body, ref, err := splitTraceRef(h, body)
+			var req *TallyRequest
+			if err == nil {
+				req, err = decodeRequestBody(body)
 			}
-			traced := h.flags&flagTrace != 0
-			req, err := decodeRequestBody(body)
 			if err != nil {
+				// A malformed request is still a request, and a failed one.
+				w.requests.Add(1)
+				w.failures.Add(1)
 				_ = conn.writeFrame(sealFrame(encodeErrorFrame(h.id, errCodeBadRequest, err.Error()), sum))
 				continue
 			}
+			traced := h.flags&flagTrace != 0
 			// Track in-flight work BEFORE the drain check: once counted, a
 			// request is guaranteed to finish (and flush its response)
 			// before Drain severs the stream.
@@ -474,7 +476,7 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 					cancel()
 				}()
 				start := time.Now()
-				resp, cached, annot, err := w.serveTallyAnnot(rctx, req, traced)
+				resp, cached, annot, err := w.serveTally(rctx, req, traced)
 				w.noteSlowTally(req, ref, time.Since(start), err)
 				var frame []byte
 				if err != nil {

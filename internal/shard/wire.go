@@ -20,19 +20,14 @@
 // every query falls back to the in-process estimator over the same
 // (graph, seed) stream.
 //
-// Two wire protocols coexist (see docs/SHARD_PROTOCOL.md for the spec):
+// Tallies travel over the v2 wire protocol (see docs/SHARD_PROTOCOL.md for
+// the spec): length-prefixed little-endian binary frames multiplexed over
+// one long-lived connection per worker, established by upgrading POST
+// /shard/v2/stream. A scatter round is one frame write + one frame read per
+// worker; tallies travel as flat int32/int64 payloads with no per-round
+// connection or header cost.
 //
-//   - v2 (the coordinator's transport): length-prefixed little-endian
-//     binary frames multiplexed over one long-lived connection per worker,
-//     established by upgrading POST /shard/v2/stream. A scatter round is
-//     one frame write + one frame read per worker; tallies travel as flat
-//     int32/int64 payloads with no per-round connection or header cost.
-//   - v1 (frozen, kept for old clients and for debugging with curl): one
-//     JSON POST /shard/v1/tally per request. Both versions answer from the
-//     same tally computation and the same worker-side cache, so they are
-//     interchangeable bit for bit.
-//
-// GET /shard/v1/ping (JSON) remains the identity/health probe of both.
+// GET /shard/v1/ping (JSON) is the identity/health probe.
 // Workers are stateless with respect to the partitioning — any worker can
 // serve any range of the stream it owns a store for — which is what makes
 // retry-by-re-scatter, hedging and elastic membership safe, and deployment
@@ -50,8 +45,8 @@ import (
 
 // Tally kinds: the integer-tally shapes workers can compute over a world
 // range. Each corresponds to one estimator surface of the library. The
-// string values are the v1 JSON encoding; the v2 binary wire carries the
-// one-byte codes from kindCode (see docs/SHARD_PROTOCOL.md §4).
+// string values name the kinds in errors and traces; the v2 binary wire
+// carries the one-byte codes from kindCode (see docs/SHARD_PROTOCOL.md §4).
 const (
 	// KindConnected tallies, per center and node, the worlds where the
 	// node shares a component with the center (unlimited-depth connection
@@ -91,7 +86,6 @@ const (
 // Wire paths of the worker protocol.
 const (
 	PathPing   = "/shard/v1/ping"
-	PathTally  = "/shard/v1/tally"
 	PathStream = "/shard/v2/stream"
 )
 
@@ -111,8 +105,7 @@ func (r Range) Worlds() int { return r.Hi - r.Lo }
 
 // TallyRequest is one tally computation: one Kind of integer tally for
 // graph Graph over every world in Ranges. Which other fields apply depends
-// on Kind (see the Kind constants). It is the body of the v1 JSON POST and
-// the payload of a v2 REQ frame.
+// on Kind (see the Kind constants). It is the payload of a v2 REQ frame.
 type TallyRequest struct {
 	Graph      string  `json:"graph"`
 	Kind       string  `json:"kind"`
@@ -175,7 +168,7 @@ type PingResponse struct {
 	Graphs []PingGraph `json:"graphs"`
 }
 
-// errorResponse is the JSON error body of a failed v1 worker request.
+// errorResponse is the JSON error body of a failed worker HTTP request.
 type errorResponse struct {
 	Error string `json:"error"`
 }

@@ -86,9 +86,8 @@ type workerGraph struct {
 }
 
 // Worker serves the shard wire protocol over a private world store per
-// graph: GET /shard/v1/ping for identity, POST /shard/v1/tally for JSON
-// tallies (frozen v1, kept for debugging and old coordinators), POST
-// /shard/v2/stream for the binary frame protocol, GET /healthz for plain
+// graph: GET /shard/v1/ping for identity, POST /shard/v2/stream for the
+// binary frame protocol that carries tallies, GET /healthz for plain
 // liveness probes. It holds no assignment state — any worker can serve any
 // range of the stream — which is what lets the coordinator re-stripe a
 // departed worker's blocks onto the survivors and hedge stragglers without
@@ -159,7 +158,6 @@ func NewWorker(graphs []WorkerGraph, opts WorkerOptions) (*Worker, error) {
 		}
 	}
 	w.mux.HandleFunc("GET "+PathPing, w.handlePing)
-	w.mux.HandleFunc("POST "+PathTally, w.handleTally)
 	w.mux.HandleFunc("POST "+PathStream, w.handleStream)
 	w.mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		if w.draining.Load() {
@@ -290,39 +288,6 @@ func validNodes(g *graph.Uncertain, field string, nodes []int32) error {
 	return nil
 }
 
-// handleTally is the frozen v1 JSON endpoint; it shares serveTally with
-// the v2 stream, so both transports compute identical tallies.
-func (w *Worker) handleTally(rw http.ResponseWriter, r *http.Request) {
-	if w.draining.Load() {
-		writeJSON(rw, http.StatusServiceUnavailable, errorResponse{Error: "worker draining"})
-		return
-	}
-	var req TallyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
-		w.fail(rw, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return
-	}
-	resp, cached, err := w.serveTally(r.Context(), &req)
-	if err != nil {
-		var bad *badRequestError
-		switch {
-		case errors.As(err, &bad):
-			writeJSON(rw, http.StatusBadRequest, errorResponse{Error: bad.msg})
-		case errors.Is(err, errUnknownGraph):
-			writeJSON(rw, http.StatusNotFound, errorResponse{Error: err.Error()})
-		default:
-			// Cancellation or deadline: the coordinator gave up on us.
-			writeJSON(rw, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		}
-		return
-	}
-	if cached {
-		rw.Header().Set("X-Ucgraph-Cached", "1")
-	}
-	writeJSON(rw, http.StatusOK, resp)
-}
-
 // badRequestError marks validation failures inside the kind handlers.
 type badRequestError struct{ msg string }
 
@@ -334,20 +299,14 @@ func badReq(format string, args ...any) error {
 
 // serveTally validates req and computes its tallies range by range,
 // consulting the per-range cache. The second result reports whether every
-// range was served from cache. Both transports (v1 JSON, v2 stream) funnel
-// through here; failure accounting happens here exactly once per request.
-func (w *Worker) serveTally(ctx context.Context, req *TallyRequest) (*TallyResponse, bool, error) {
-	resp, cached, _, err := w.serveTallyAnnot(ctx, req, false)
-	return resp, cached, err
-}
-
-// serveTallyAnnot is serveTally plus, when traced, the worker-side
+// range was served from cache; failure accounting happens here exactly
+// once per request. When traced, it also returns the worker-side
 // execution annotation shipped back on a flagTrace response: wall time,
 // worlds tallied, per-request cache hits/misses and the store tier
 // activity observed while serving the request. The annotation is pure
 // observation — traced and untraced requests run the identical code
 // path and produce byte-identical tallies.
-func (w *Worker) serveTallyAnnot(ctx context.Context, req *TallyRequest, traced bool) (*TallyResponse, bool, workerAnnot, error) {
+func (w *Worker) serveTally(ctx context.Context, req *TallyRequest, traced bool) (*TallyResponse, bool, workerAnnot, error) {
 	w.requests.Add(1)
 	var annot workerAnnot
 	var start time.Time
@@ -517,7 +476,7 @@ func (w *Worker) rangeTally(ctx context.Context, wg *workerGraph, req *TallyRequ
 
 // rangeTally is the transport-free tally kernel: one kind over one world
 // range of the (graph, seed) stream behind store. It is shared by the
-// worker (both wire versions) and by the coordinator's audit referee,
+// worker (the v2 stream) and by the coordinator's audit referee,
 // which recomputes a divergent group locally over the same stream — the
 // two sides agreeing byte-for-byte is the audit's ground truth.
 func rangeTally(ctx context.Context, g *graph.Uncertain, store *worldstore.Store, req *TallyRequest, rg Range) (*TallyResponse, error) {

@@ -204,7 +204,7 @@ type Stats struct {
 	// AccumWorlds counts worlds tallied by the accumulate-mode bit-sliced
 	// reach kernel on the batched depth-limited path (CountWithinMulti);
 	// DirectWorlds counts worlds the same path tallied through the
-	// per-world direct fallback (graphs too large for the flat
+	// per-world direct fallback (graphs too large for the bit-sliced
 	// accumulator). Both modes add identical per-world reach indicators,
 	// so the split is an observability fact, never a results fact.
 	AccumWorlds  uint64
@@ -1064,9 +1064,9 @@ func (s *Store) CountWithinMulti(cs []graph.NodeID, depth int, lo []int, hi int,
 
 // countWithinGroup answers one <= 64-center group. The world range is split
 // at the distinct lo values into segments on which the active center set
-// is constant, so the counter's accumulate mode (one flat add per reach,
+// is constant, so the counter's accumulate mode (bit-sliced planes,
 // flushed per segment) keeps a stable bit-to-center mapping; graphs too
-// large for the flat accumulator fall back to per-world direct counting.
+// large for the accumulator fall back to per-world direct counting.
 // Either mode adds the same per-world reach indicators, so the counts are
 // bit-identical regardless of mode, segmentation, or group split.
 func (s *Store) countWithinGroup(mrc *sampler.MultiReachCounter, cs []graph.NodeID, depth int, lo []int, hi int, counts [][]int32) {

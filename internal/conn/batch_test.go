@@ -153,8 +153,7 @@ func TestEstimatorBoundedMemoryBitIdentical(t *testing.T) {
 
 	g2 := identicalGraph(t, g)
 	bounded := NewMonteCarlo(g2, seed)
-	blockBytes := int64(4 * g2.NumNodes() * bounded.Store().Stats().BlockWorlds)
-	bounded.Store().SetBudget(blockBytes) // one block resident at a time
+	bounded.Store().SetBudget(bounded.Store().LabelBlockBytes()) // one block resident at a time
 
 	const r = 700 // several blocks worth of worlds
 	cs := []graph.NodeID{0, 17, 33, 60}

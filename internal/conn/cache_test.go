@@ -138,3 +138,31 @@ func TestCacheDepthExtension(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleReusesVectorsExactly: a recycled estimate vector is reused by
+// the next answer, which is still bit-identical to a fresh estimator's;
+// vectors of the wrong length are not taken.
+func TestRecycleReusesVectorsExactly(t *testing.T) {
+	g := gridGraph(t, 6, 5, 0.6)
+	mc := NewMonteCarlo(g, 41)
+	fresh := NewMonteCarlo(g, 41)
+
+	first := mc.FromCenter(4, Unlimited, 300)
+	mc.Recycle(first)
+	mc.Recycle(make([]float64, g.NumNodes()+1)) // wrong length: ignored
+	got := mc.FromCenters([]graph.NodeID{17, 17}, Unlimited, 500)
+	if &got[0][0] != &first[0] {
+		t.Fatal("the recycled vector was not reused")
+	}
+	want := fresh.FromCenters([]graph.NodeID{17, 17}, Unlimited, 500)
+	for j := range want {
+		if len(got[j]) != g.NumNodes() {
+			t.Fatalf("answer %d has length %d", j, len(got[j]))
+		}
+		for u := range want[j] {
+			if math.Float64bits(got[j][u]) != math.Float64bits(want[j][u]) {
+				t.Fatalf("answer %d node %d: %v, fresh estimator %v", j, u, got[j][u], want[j][u])
+			}
+		}
+	}
+}

@@ -73,8 +73,11 @@ var (
 )
 
 // MonteCarlo estimates connection probabilities by sampling possible
-// worlds. Unlimited-depth queries are answered from the per-world component
-// labels of the shared world store (one O(n) scan per world per query);
+// worlds. Unlimited-depth queries are answered from the label blocks of
+// the shared world store: worlds where the center lies in the largest
+// component are counted by popcount over the block's largest-component
+// bitset (about n*ceil(bw/64) word operations per block of bw worlds), the
+// rest by an O(n) label sweep (see worldstore.CountConnectedFromMulti);
 // depth-limited queries run depth-bounded BFS over the same world stream —
 // batched queries against the store's per-world edge bitmaps (every coin
 // of a world evaluated once for the whole center batch), single-center
@@ -128,6 +131,13 @@ type MonteCarlo struct {
 	// single-goroutine, so each worker checks one out for the duration of
 	// its shard.
 	reachPool sync.Pool
+
+	// spare holds up to maxSpare estimate vectors handed back through
+	// Recycle, reused by later answers. A plain list, not a sync.Pool: a
+	// pool is reachable from the runtime until the next collections, and
+	// would keep a dropped estimator (and its tally cache) alive with it.
+	spareMu sync.Mutex
+	spare   [][]float64
 
 	// count, when non-nil, is offered every extension before the local
 	// store counts it (see NewMonteCarloWithCounter).
@@ -281,10 +291,19 @@ func (mc *MonteCarlo) lookupTally(key cacheKey) *centerTally {
 	return tally
 }
 
-// estimate converts a tally into the caller-owned estimate vector. The
+// estimate converts a tally into the caller-owned estimate vector, reusing
+// a recycled vector when one is spare (every entry is overwritten). The
 // caller holds tally.mu.
-func (tally *centerTally) estimate() []float64 {
-	out := make([]float64, len(tally.counts))
+func (mc *MonteCarlo) estimate(tally *centerTally) []float64 {
+	var out []float64
+	mc.spareMu.Lock()
+	if k := len(mc.spare); k > 0 {
+		out, mc.spare = mc.spare[k-1], mc.spare[:k-1]
+	}
+	mc.spareMu.Unlock()
+	if out == nil {
+		out = make([]float64, len(tally.counts))
+	}
 	inv := 1 / float64(tally.rDone)
 	for i, cnt := range tally.counts {
 		out[i] = float64(cnt) * inv
@@ -460,7 +479,7 @@ func (mc *MonteCarlo) FromCentersCtx(ctx context.Context, cs []graph.NodeID, dep
 
 	out := make([][]float64, len(cs))
 	for _, sl := range slots {
-		est := sl.tally.estimate()
+		est := mc.estimate(sl.tally)
 		for i, pos := range sl.outAt {
 			if i == 0 {
 				out[pos] = est
@@ -704,6 +723,27 @@ func (mc *MonteCarlo) countRange(key cacheKey, lo, hi int, counts []int32) {
 	rc.CountWithin(key.c, key.depth, lo, hi, counts)
 	mc.reachPool.Put(rc)
 }
+
+// Recycle takes back an estimate vector this estimator returned, for reuse
+// by its later answers. Callers pass only a vector they are done with and
+// never touch it again; a caller that hands a result on, or keeps it, must
+// not recycle it. Recycling is optional and never changes an estimate: it
+// only spares the allocation (and the garbage) of a fresh vector per
+// answer, which dominates what clustering allocates.
+func (mc *MonteCarlo) Recycle(est []float64) {
+	if len(est) != mc.g.NumNodes() {
+		return
+	}
+	mc.spareMu.Lock()
+	if len(mc.spare) < maxSpare {
+		mc.spare = append(mc.spare, est)
+	}
+	mc.spareMu.Unlock()
+}
+
+// maxSpare bounds the recycled vectors an estimator holds: enough for a
+// min-partial scoring chunk's worth of turnover.
+const maxSpare = 64
 
 // Pair estimates Pr(u ~ v) with r samples.
 func (mc *MonteCarlo) Pair(u, v graph.NodeID, r int) float64 {

@@ -101,6 +101,19 @@ type PartialResult struct {
 	OracleCalls int
 }
 
+// recycler is an oracle that takes back the estimate vectors it returned
+// (conn.MonteCarlo). Min-partial hands each vector back once done with it.
+// An oracle that does not offer this — a wrapper that may keep the answers
+// it passes on — just lets them become garbage.
+type recycler interface{ Recycle(est []float64) }
+
+// recycle hands est back to o when o takes vectors back.
+func recycle(o conn.ContextOracle, est []float64) {
+	if r, ok := o.(recycler); ok {
+		r.Recycle(est)
+	}
+}
+
 // MinPartial runs Algorithm 1 (or Algorithm 4 when Depth/DepthSel are set)
 // against the given oracle. The returned clustering covers a maximal subset
 // of nodes, each with estimated connection probability at least
@@ -174,6 +187,7 @@ func MinPartialCtx(ctx context.Context, o conn.ContextOracle, rnd *rng.Xoshiro25
 		res.BestIdx[i] = -1
 	}
 	isCenter := make([]bool, n)
+	var snap []graph.NodeID // per-round copy of uncovered, reused
 
 	// absorb merges a freshly selected center's estimate vector into the
 	// streaming argmax.
@@ -276,7 +290,12 @@ func MinPartialCtx(ctx context.Context, o conn.ContextOracle, rnd *rng.Xoshiro25
 				}
 				for i := base; i < end; i++ {
 					if best < 0 || scores[i] > scores[best] {
+						if best >= 0 {
+							recycle(o, bestSelEst)
+						}
 						best, bestSelEst = i, ests[i-base]
+					} else {
+						recycle(o, ests[i-base])
 					}
 				}
 			}
@@ -302,12 +321,16 @@ func MinPartialCtx(ctx context.Context, o conn.ContextOracle, rnd *rng.Xoshiro25
 
 		// Line 8: remove the q-disk of ci from V'.
 		// Snapshot since remove() mutates the slice.
-		snap := make([]graph.NodeID, len(uncovered))
-		copy(snap, uncovered)
+		snap = append(snap[:0], uncovered...)
 		for _, u := range snap {
 			if remEst[u] >= remThresh || u == ci {
 				remove(u)
 			}
+		}
+		// The round's vectors are spent: absorb copied what it keeps.
+		recycle(o, remEst)
+		if p.Depth != p.DepthSel {
+			recycle(o, bestSelEst)
 		}
 		if p.Progress != nil {
 			p.Progress(ProgressEvent{
@@ -348,6 +371,7 @@ func MinPartialCtx(ctx context.Context, o conn.ContextOracle, rnd *rng.Xoshiro25
 		}
 		res.OracleCalls++
 		absorb(clusterIdx, est)
+		recycle(o, est)
 		remove(extra)
 		if p.Progress != nil {
 			p.Progress(ProgressEvent{

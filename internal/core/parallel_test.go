@@ -90,3 +90,45 @@ func TestClusteringDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// plainOracle exposes only conn.ContextOracle, hiding the estimator's
+// Recycle, so min-partial keeps every vector it is handed.
+type plainOracle struct{ conn.ContextOracle }
+
+// TestRecyclingInvisible runs MCP and ACP (alpha 1 and 4, depth-limited
+// removal too) against a Monte Carlo oracle, which takes estimate vectors
+// back, and against the same estimator behind a wrapper that does not:
+// clusterings and probabilities must be bit-identical.
+func TestRecyclingInvisible(t *testing.T) {
+	g := communityGraph(t, 4, 12, 3)
+	sched := conn.Schedule{Min: 32, Max: 256, Coef: 8}
+	for _, opt := range []Options{
+		{Seed: 2, Alpha: 1, Schedule: sched},
+		{Seed: 2, Alpha: 4, Schedule: sched},
+		{Seed: 2, Alpha: 4, Schedule: sched, Depth: 3},
+	} {
+		for _, algo := range []string{"mcp", "acp"} {
+			run := func(o conn.ContextOracle) *Clustering {
+				var cl *Clustering
+				var err error
+				if algo == "mcp" {
+					cl, _, err = MCP(o, 5, opt)
+				} else {
+					cl, _, err = ACP(o, 5, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}
+			got := run(conn.NewMonteCarlo(g, 8))
+			want := run(plainOracle{conn.NewMonteCarlo(g, 8)})
+			for u := range want.Assign {
+				if got.Assign[u] != want.Assign[u] || got.Prob[u] != want.Prob[u] {
+					t.Fatalf("%s %+v node %d: (%d, %v) recycling vs (%d, %v) without",
+						algo, opt, u, got.Assign[u], got.Prob[u], want.Assign[u], want.Prob[u])
+				}
+			}
+		}
+	}
+}

@@ -91,6 +91,8 @@ type storeStats struct {
 	AccumWorlds          uint64 `json:"accum_worlds"`
 	AccumFlushes         uint64 `json:"accum_flushes"`
 	DirectWorlds         uint64 `json:"direct_worlds"`
+	GiantWorlds          uint64 `json:"giant_worlds"`
+	SweepWorlds          uint64 `json:"sweep_worlds"`
 	CacheDir             string `json:"cache_dir,omitempty"`
 }
 
@@ -116,6 +118,8 @@ func (h *graphHandle) storeStats() storeStats {
 		AccumWorlds:          st.AccumWorlds,
 		AccumFlushes:         st.AccumFlushes,
 		DirectWorlds:         st.DirectWorlds,
+		GiantWorlds:          st.GiantWorlds,
+		SweepWorlds:          st.SweepWorlds,
 		CacheDir:             st.CacheDir,
 	}
 }

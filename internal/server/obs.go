@@ -216,6 +216,8 @@ var storeMetricCols = []struct {
 	{"ucgraph_store_disk_hits_total", "Blocks served from the disk tier.", "counter", func(st storeStats) float64 { return float64(st.DiskHits) }},
 	{"ucgraph_store_spill_writes_total", "Blocks spilled to the disk tier.", "counter", func(st storeStats) float64 { return float64(st.SpillWrites) }},
 	{"ucgraph_store_corrupt_dropped_total", "Disk-tier blocks dropped on checksum mismatch.", "counter", func(st storeStats) float64 { return float64(st.CorruptDropped) }},
+	{"ucgraph_store_giant_worlds_total", "Center-world connection tallies answered by largest-component popcount.", "counter", func(st storeStats) float64 { return float64(st.GiantWorlds) }},
+	{"ucgraph_store_sweep_worlds_total", "Center-world connection tallies answered by a label sweep.", "counter", func(st storeStats) float64 { return float64(st.SweepWorlds) }},
 }
 
 func (s *Server) writeStoreMetrics(pw *obs.Writer) {

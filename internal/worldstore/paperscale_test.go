@@ -60,7 +60,7 @@ func TestPaperScaleTieredSmoke(t *testing.T) {
 	}
 	// Two blocks' worth of budget: the scan constantly evicts, spills and
 	// reloads instead of settling into residency.
-	tiered.SetBudget(2 * int64(g.NumNodes()) * 4 * int64(tiered.BlockWorlds()))
+	tiered.SetBudget(2 * tiered.LabelBlockBytes())
 	for pass := 0; pass < 2; pass++ {
 		i := 0
 		tiered.Scan(0, worlds, func(_ int, labels []int32) {
@@ -106,10 +106,10 @@ func BenchmarkDBLPPaperScale(b *testing.B) {
 		b.Fatal(err)
 	}
 	bw := s.BlockWorlds()
-	s.SetBudget(int64(g.NumNodes()) * 4 * int64(bw))
+	s.SetBudget(s.LabelBlockBytes())
 	s.Scan(0, bw, func(int, []int32) {}) // materialize block 0...
 	s.SetBudget(1)                       // ...and force it through the spill path
-	s.SetBudget(int64(g.NumNodes()) * 4 * int64(bw))
+	s.SetBudget(s.LabelBlockBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := (i + 1) * bw

@@ -310,7 +310,7 @@ func TestReleaseAfterShrinkRestoresBudget(t *testing.T) {
 	bw := s.BlockWorlds()
 	snapshotLabels(s, 3*bw) // several resident blocks
 
-	b, _ := s.acquire(0, 1) // pin block 0
+	b, _, _ := s.acquire(0, 1, false) // pin block 0
 	budget := s.blockBytes(famLabels) / 2
 	s.SetBudget(budget)
 	if st := s.Stats(); st.ResidentBytes <= budget {

@@ -22,6 +22,12 @@
 // and recomputation never change an estimate: bounded and unbounded runs
 // are bit-identical.
 //
+// Label blocks carry a third, derived artifact: a node-major bitset marking,
+// per world, the nodes of that world's largest component (see giantBytes).
+// It is built from the labels the first time a connection tally touches the
+// block, counted in the block's budgeted bytes, and never spilled — a block
+// loaded back from the disk tier or recomputed rebuilds it on demand.
+//
 // Stores are safe for concurrent use by multiple consumers: block
 // materialization is coordinated so exactly one goroutine computes a block
 // while others wait, readers pin blocks against eviction for the duration
@@ -35,7 +41,9 @@ package worldstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -76,6 +84,7 @@ type Store struct {
 	n    int
 	wpw  int // uint64 words per world edge bitmap
 	bw   int // worlds per block (both families)
+	rb   int // bytes per node row of a label block's giant bitset: ceil(bw/8)
 
 	length atomic.Int64 // logical stream length: max world count requested
 
@@ -111,6 +120,16 @@ type Store struct {
 	accumFlushes atomic.Uint64
 	directWorlds atomic.Uint64
 
+	// Unlimited-depth tally counters (atomic: bumped outside mu on the
+	// CountConnectedFrom(Multi) path): (center, world) tallies answered by
+	// popcount over the giant bitset, and by a label sweep.
+	giantWorlds atomic.Uint64
+	sweepWorlds atomic.Uint64
+
+	// tallyPool recycles the n-sized scratch of the unlimited-depth tally
+	// kernel and of giant-bitset builds (see tallyScratch).
+	tallyPool sync.Pool
+
 	// reachPool recycles the batched BFS scratch CountWithinMulti uses;
 	// sampler.MultiReachCounter is single-goroutine, so each call checks
 	// one out for its duration.
@@ -140,6 +159,13 @@ type block struct {
 	lastUse uint64
 	fresh   bool // no load/compute attempt since insertion (disk probe pending); guarded by mu (the block's)
 	rebuilt bool // this block index was materialized before in this process; set at insertion
+	// giant (famLabels only) is the derived largest-component bitset of
+	// worlds [0, gdone): bit i of node u's row (giant[u*rb:(u+1)*rb], bit i%8
+	// of byte i/8) is set iff u lies in the largest component of world
+	// base+i. Built lazily by tallies, never by Scan; replaced, never
+	// written in place, once published (see extendGiant).
+	giant []byte
+	gdone int
 	// ready mirrors done for lock-free residency probes. Only the bitmap
 	// family maintains it (acquireBits stores it after an extension), and
 	// only BitsResident reads it: a probe observing ready >= w knows
@@ -212,6 +238,15 @@ type Stats struct {
 	// AccumFlushes counts bit-sliced plane flushes (one per
 	// capacity-sized sub-range per active segment).
 	AccumFlushes uint64
+	// GiantWorlds counts (center, world) tallies of the unlimited-depth
+	// path (CountConnectedFrom, CountConnectedFromMulti) answered by
+	// popcount over the label block's largest-component bitset — worlds
+	// where the center lies in the largest component; SweepWorlds counts
+	// those answered by a label sweep. Both add the same per-world
+	// connection indicators, so the split is an observability fact, never
+	// a results fact.
+	GiantWorlds uint64
+	SweepWorlds uint64
 	// CacheDir is the attached disk-tier directory ("" when the store has
 	// no disk tier).
 	CacheDir string
@@ -244,26 +279,43 @@ func New(g *graph.Uncertain, seed uint64) *Store {
 		n:    n,
 		wpw:  sampler.EdgeBitmapWords(g.NumEdges()),
 		bw:   bw,
+		rb:   (bw + 7) / 8,
 	}
 	for f := range s.blocks {
 		s.blocks[f] = make(map[int]*block)
 		s.built[f] = make(map[int]bool)
 	}
 	s.reachPool.New = func() any { return sampler.NewMultiReachCounter(g) }
+	s.tallyPool.New = func() any { return &tallyScratch{head: make([]int32, n)} }
 	if b := defaultBudget.Load(); b > 0 {
 		s.SetBudget(b)
 	}
 	return s
 }
 
+// giantPad is the slack after a giant bitset's last row, so the tally
+// kernel can read any row's bits as whole 8-byte words.
+const giantPad = 7
+
+// giantBytes is the size of one label block's largest-component bitset:
+// n rows of ceil(bw/8) bytes (plus giantPad), about 1/32 of the block's
+// labels at any n.
+func (s *Store) giantBytes() int { return s.n*s.rb + giantPad }
+
 // blockBytes returns the nominal full-block byte size of one family's
-// block — the unit the byte budget is accounted in.
+// block — the unit the byte budget is accounted in. A label block counts
+// its derived giant bitset whether or not a tally has built it yet.
 func (s *Store) blockBytes(f family) int64 {
 	if f == famBits {
 		return int64(8 * s.wpw * s.bw)
 	}
-	return int64(4 * s.n * s.bw)
+	return int64(4*s.n*s.bw + s.giantBytes())
 }
+
+// LabelBlockBytes returns the bytes one full label block charges against
+// the SetBudget byte budget: its component labels plus its derived
+// largest-component bitset.
+func (s *Store) LabelBlockBytes() int64 { return s.blockBytes(famLabels) }
 
 // registryKey identifies a shared store. The graph is held weakly so the
 // registry does not extend its lifetime.
@@ -463,6 +515,8 @@ func (s *Store) Stats() Stats {
 	st.AccumWorlds = s.accumWorlds.Load()
 	st.AccumFlushes = s.accumFlushes.Load()
 	st.DirectWorlds = s.directWorlds.Load()
+	st.GiantWorlds = s.giantWorlds.Load()
+	st.SweepWorlds = s.sweepWorlds.Load()
 	if c := s.spill.Load(); c != nil {
 		st.DiskBytes = c.bytes()
 		st.CacheDir = c.dir
@@ -580,7 +634,11 @@ func (s *Store) acquireBlock(f family, bi int) *block {
 // leaves earlier captured buffers intact — their materialized prefix is
 // immutable — which is why callers must read through the returned slice,
 // not through b.labels. Callers must release the block.
-func (s *Store) acquire(bi, need int) (*block, []int32) {
+//
+// With giant set, the block's largest-component bitset is also brought up
+// to need worlds and returned (nil otherwise); it follows the same capture
+// rule, read through the returned slice.
+func (s *Store) acquire(bi, need int, giant bool) (*block, []int32, []byte) {
 	b := s.acquireBlock(famLabels, bi)
 	b.mu.Lock()
 	if b.fresh {
@@ -602,9 +660,48 @@ func (s *Store) acquire(bi, need int) (*block, []int32) {
 		s.computeWorlds(bi, b.done, need, b.labels)
 		b.done = need
 	}
-	labels := b.labels
+	if giant && b.gdone < need {
+		s.extendGiant(b, need)
+	}
+	labels, gbits := b.labels, b.giant
 	b.mu.Unlock()
-	return b, labels
+	if !giant {
+		gbits = nil
+	}
+	return b, labels, gbits
+}
+
+// extendGiant brings label block b's largest-component bitset from gdone
+// to need worlds (need <= b.done). The bits are written into a fresh copy,
+// then published: a reader holding the previous slice never sees a word
+// change. Which component is "largest" when sizes tie is immaterial to
+// the counts (the tally kernel is exact for any component choice); the
+// first label to reach the maximal size wins, so the bitset is a pure
+// function of the labels. Caller holds b.mu.
+func (s *Store) extendGiant(b *block, need int) {
+	grown := make([]byte, s.giantBytes())
+	copy(grown, b.giant)
+	t := s.tallyPool.Get().(*tallyScratch)
+	sizes := t.head // all zero; restored to zero below
+	for i := b.gdone; i < need; i++ {
+		lab := b.labels[i*s.n : (i+1)*s.n]
+		giant, best := int32(-1), int32(0)
+		for _, l := range lab {
+			sizes[l]++
+			if sizes[l] > best {
+				giant, best = l, sizes[l]
+			}
+		}
+		row, bit := i>>3, byte(1)<<(i&7)
+		for u, l := range lab {
+			if l == giant {
+				grown[u*s.rb+row] |= bit
+			}
+			sizes[l] = 0
+		}
+	}
+	s.tallyPool.Put(t)
+	b.giant, b.gdone = grown, need
 }
 
 // acquireBits is acquire for the edge-bitmap family: it returns bitmap
@@ -909,7 +1006,7 @@ func (s *Store) ScanCtx(ctx context.Context, lo, hi int, fn func(i int, labels [
 		if end > base+s.bw {
 			end = base + s.bw
 		}
-		b, labels := s.acquire(bi, end-base)
+		b, labels, _ := s.acquire(bi, end-base, false)
 		for i := start; i < end; i++ {
 			off := (i - base) * s.n
 			fn(i, labels[off:off+s.n:off+s.n])
@@ -928,71 +1025,153 @@ func (s *Store) Connected(i int, u, v graph.NodeID) bool {
 
 // CountConnectedFrom adds, for every node u, the number of worlds in
 // [lo, hi) where u and c share a component, into counts (length NumNodes).
-// counts is not cleared, so callers can accumulate across ranges.
+// counts is not cleared, so callers can accumulate across ranges. It is
+// the one-center case of CountConnectedFromMulti.
 func (s *Store) CountConnectedFrom(c graph.NodeID, lo, hi int, counts []int32) {
-	s.Scan(lo, hi, func(_ int, lab []int32) {
-		lc := lab[c]
-		for u, lu := range lab {
-			if lu == lc {
-				counts[u]++
-			}
-		}
-	})
+	s.CountConnectedFromMulti([]graph.NodeID{c}, []int{lo}, hi, [][]int32{counts})
 }
 
 // CountConnectedFromMulti is the batched form of CountConnectedFrom: for
 // each center cs[j] it adds, into counts[j], the per-node connection counts
 // over worlds [lo[j], hi). All centers are answered in ONE pass over each
-// world block: per world the centers are grouped by their component label,
-// and a single scan of the label vector dispatches each node's increments
-// to every center sharing its component. The cost per world is
-// O(n + centers + increments) instead of the O(n * centers) of repeated
-// single-center scans, and each block is acquired (and, under a memory
-// budget, potentially recomputed) once instead of once per center.
+// label block, which is acquired (and, under a memory budget, potentially
+// recomputed) once instead of once per center.
 //
-// Counts are plain integer accumulations over a deterministic world range,
-// so the result is bit-identical to looping CountConnectedFrom per center.
+// Within a block each center's worlds split in two. Where the center lies
+// in the world's largest component, u ~ c iff u does too, so those worlds
+// are counted at once per node as popcount(giant[u] & giant[c] & range)
+// over the block's giant bitset — about n*ceil(bw/64) word operations per
+// center and block instead of n*bw label compares. The remaining worlds
+// are label-swept: per world the swept centers are grouped by component
+// label, and one scan of the label vector dispatches each node's
+// increments to every center sharing its component.
+//
+// Both halves add exact integer indicators over a deterministic world
+// range, so the result is bit-identical to looping a naive per-world label
+// comparison per center, for every block size, budget and tier.
 func (s *Store) CountConnectedFromMulti(cs []graph.NodeID, lo []int, hi int, counts [][]int32) {
 	if len(cs) == 0 {
 		return
 	}
 	minLo := hi
 	for _, l := range lo {
-		if l < minLo {
-			minLo = l
-		}
+		minLo = min(minLo, max(l, 0))
 	}
 	if minLo >= hi {
 		return
 	}
-	// byLabel[l] lists the (indices of) centers whose component label in
-	// the current world is l; touched tracks which entries to reset.
-	byLabel := make([][]int32, s.n)
-	touched := make([]int32, 0, len(cs))
-	s.Scan(minLo, hi, func(i int, lab []int32) {
-		for _, l := range touched {
-			byLabel[l] = byLabel[l][:0]
+	s.Grow(hi)
+	t := s.tallyPool.Get().(*tallyScratch)
+	defer s.tallyPool.Put(t)
+	for bi := minLo / s.bw; bi*s.bw < hi; bi++ {
+		base := bi * s.bw
+		end := min(hi, base+s.bw)
+		b, labels, giant := s.acquire(bi, end-base, true)
+		s.tallyBlock(t, cs, lo, base, end-base, labels, giant, counts)
+		s.release(b)
+	}
+}
+
+// tallyScratch is the per-call scratch of the unlimited-depth tally
+// kernel. head is n-sized and all zero between uses; it serves as the
+// label -> swept-center list index of a world sweep, and as the component
+// size histogram of a giant-bitset build.
+type tallyScratch struct {
+	head  []int32  // label -> 1 + index into who of its first swept center
+	next  []int32  // per who entry: 1 + index of the next center of its label
+	who   []int32  // center indices swept in the current world
+	sweep []uint64 // per center, per 64-world chunk: worlds to label-sweep
+	any   []uint64 // per 64-world chunk: OR of sweep over centers
+}
+
+// load64 reads the 8 bytes of a giant bitset at off as one little-endian
+// word: bit k is world 8*(off-rowStart)+k of the row at rowStart.
+func load64(giant []byte, off int) uint64 {
+	return binary.LittleEndian.Uint64(giant[off : off+8])
+}
+
+// worldRange returns the bits of 64-world chunk k that lie in [a, b).
+func worldRange(k, a, b int) uint64 {
+	lo, hi := min(max(a-64*k, 0), 64), min(max(b-64*k, 0), 64)
+	return ^uint64(0) << lo &^ (^uint64(0) << hi)
+}
+
+// tallyBlock adds the counts of block-relative worlds [max(lo[j]-base, 0),
+// e) for every center into counts, from the block's labels and its giant
+// bitset (covering at least e worlds).
+func (s *Store) tallyBlock(t *tallyScratch, cs []graph.NodeID, lo []int, base, e int, labels []int32, giant []byte, counts [][]int32) {
+	n, rb := s.n, s.rb
+	nc := (e + 63) / 64
+	t.sweep = append(t.sweep[:0], make([]uint64, len(cs)*nc)...)
+	t.any = append(t.any[:0], make([]uint64, nc)...)
+	var giantW, sweepW int
+	for j, c := range cs {
+		start := max(lo[j]-base, 0)
+		if start >= e {
+			continue
 		}
-		touched = touched[:0]
-		for j, c := range cs {
-			if lo[j] > i {
+		cnt := counts[j]
+		for k := 0; k < nc; k++ {
+			rng := worldRange(k, start, e)
+			m := load64(giant, int(c)*rb+8*k) & rng
+			sw := rng &^ m
+			t.sweep[j*nc+k] = sw
+			t.any[k] |= sw
+			giantW += bits.OnesCount64(m)
+			sweepW += bits.OnesCount64(sw)
+			if m == 0 {
 				continue
 			}
-			l := lab[c]
-			if len(byLabel[l]) == 0 {
-				touched = append(touched, l)
+			for u, off := 0, 8*k; u < n; u, off = u+1, off+rb {
+				cnt[u] += int32(bits.OnesCount64(load64(giant, off) & m))
 			}
-			byLabel[l] = append(byLabel[l], int32(j))
 		}
-		if len(touched) == 0 {
-			return
+	}
+	s.giantWorlds.Add(uint64(giantW))
+	s.sweepWorlds.Add(uint64(sweepW))
+	for k, anyK := range t.any {
+		for ; anyK != 0; anyK &= anyK - 1 {
+			i := 64*k + bits.TrailingZeros64(anyK)
+			bit := uint64(1) << (i & 63)
+			t.who = t.who[:0]
+			for j := range cs {
+				if t.sweep[j*nc+k]&bit != 0 {
+					t.who = append(t.who, int32(j))
+				}
+			}
+			t.sweepWorld(cs, labels[i*n:(i+1)*n], counts)
 		}
+	}
+}
+
+// sweepWorld adds one world's connection indicators for the centers in
+// t.who by scanning its label vector once.
+func (t *tallyScratch) sweepWorld(cs []graph.NodeID, lab []int32, counts [][]int32) {
+	if len(t.who) == 1 {
+		cnt := counts[t.who[0]]
+		lc := lab[cs[t.who[0]]]
 		for u, l := range lab {
-			for _, j := range byLabel[l] {
-				counts[j][u]++
+			if l == lc {
+				cnt[u]++
 			}
 		}
-	})
+		return
+	}
+	// Chain the swept centers by label: head[l] -> who entry -> next ...
+	t.next = append(t.next[:0], make([]int32, len(t.who))...)
+	for p, j := range t.who {
+		l := lab[cs[j]]
+		t.next[p] = t.head[l]
+		t.head[l] = int32(p + 1)
+	}
+	for u, l := range lab {
+		for p := t.head[l]; p != 0; p = t.next[p-1] {
+			counts[t.who[p-1]][u]++
+		}
+	}
+	for _, j := range t.who {
+		t.head[lab[cs[j]]] = 0
+	}
 }
 
 // ScanBits calls fn(i, bits) for every world i in [lo, hi), in increasing
@@ -1032,8 +1211,8 @@ func (s *Store) ScanBits(lo, hi int, fn func(i int, bits []uint64)) {
 // for each center cs[j] it adds, into counts[j] (length NumNodes, not
 // cleared), the number of worlds in [lo[j], hi) where each node is within
 // depth hops of cs[j]. depth < 0 means unconstrained reachability (callers
-// with unlimited depth should prefer the label-scan path, which is O(n)
-// per world instead of BFS).
+// with unlimited depth should prefer CountConnectedFromMulti, which counts
+// from component labels and largest-component popcounts instead of BFS).
 //
 // All centers are answered in ONE pass over each world's edge bitmap: the
 // world's edge coins are evaluated once, when its bitmap block is

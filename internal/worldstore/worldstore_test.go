@@ -145,7 +145,7 @@ func TestSetBudgetShrinkEvictsImmediately(t *testing.T) {
 	if before.ResidentBlocks < 2 {
 		t.Skipf("only %d blocks materialized", before.ResidentBlocks)
 	}
-	s.SetBudget(int64(4 * g.NumNodes() * before.BlockWorlds)) // exactly one block
+	s.SetBudget(s.LabelBlockBytes()) // exactly one block
 	after := s.Stats()
 	if after.ResidentBlocks != 1 {
 		t.Fatalf("shrink left %d blocks resident", after.ResidentBlocks)
@@ -482,7 +482,7 @@ func TestStatsHitsAndRecomputes(t *testing.T) {
 	}
 
 	// Shrink to one block, touch the evicted one again: a recompute.
-	s.SetBudget(int64(4 * s.n * bw))
+	s.SetBudget(s.LabelBlockBytes())
 	if st = s.Stats(); st.Evictions != 1 {
 		t.Fatalf("after shrink: %+v", st)
 	}

@@ -151,7 +151,7 @@ func TestWorldStoreBudgetPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := Worlds(g2, seed)
-	ws.SetBudget(int64(4 * g2.NumNodes() * ws.Stats().BlockWorlds))
+	ws.SetBudget(ws.LabelBlockBytes())
 	if got := MinProb(g2, cl, seed, r); got != wantMin {
 		t.Fatalf("bounded MinProb %v != unbounded %v", got, wantMin)
 	}
